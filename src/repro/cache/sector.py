@@ -11,7 +11,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+
+#: what a read-only probe of a never-touched set sees (never mutated)
+_NO_LINES: Dict[int, "LineState"] = {}
 
 
 def full_mask(sectors: int) -> int:
@@ -67,17 +71,27 @@ class SectorCache:
         self.sector_bytes = line_bytes // sectors
         self.ways = ways
         self.num_sets = size_bytes // (ways * line_bytes)
-        # each set: OrderedDict line_addr -> LineState, LRU first
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(self.num_sets)
-        ]
+        # set index -> OrderedDict line_addr -> LineState, LRU first.
+        # A set is built on its first fill, so a short run that touches a
+        # few hundred lines of an 8MB LLC never pays for its 16k sets.
+        self._sets: Dict[int, OrderedDict] = {}
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- helpers
 
     def _set_for(self, line_addr: int) -> OrderedDict:
+        """The set ``line_addr`` maps to, built on first touch."""
         index = (line_addr // self.line_bytes) % self.num_sets
-        return self._sets[index]
+        cache_set = self._sets.get(index)
+        if cache_set is None:
+            cache_set = self._sets[index] = OrderedDict()
+        return cache_set
+
+    def _probe_set(self, line_addr: int):
+        """The set ``line_addr`` maps to, or an empty mapping when that
+        set was never built; for lookups that must not build one."""
+        index = (line_addr // self.line_bytes) % self.num_sets
+        return self._sets.get(index, _NO_LINES)
 
     def sector_mask_for(self, addr: int, size: int) -> int:
         """Mask of sectors covering ``[addr, addr + size)`` within a line."""
@@ -103,7 +117,7 @@ class SectorCache:
         fetched.  Updates LRU on any touch of a resident line.
         """
         self.stats.accesses += 1
-        cache_set = self._set_for(line_addr)
+        cache_set = self._probe_set(line_addr)
         state = cache_set.get(line_addr)
         if state is None:
             self.stats.misses += 1
@@ -119,7 +133,7 @@ class SectorCache:
 
     def mark_dirty(self, line_addr: int, sector_mask: int) -> bool:
         """Set dirty bits on a resident line; returns False if not present."""
-        state = self._set_for(line_addr).get(line_addr)
+        state = self._probe_set(line_addr).get(line_addr)
         if state is None or (state.valid_mask & sector_mask) != sector_mask:
             return False
         state.dirty_mask |= sector_mask
@@ -148,8 +162,7 @@ class SectorCache:
 
     def invalidate(self, line_addr: int) -> Optional[Eviction]:
         """Drop a line; returns its dirty state for writeback."""
-        cache_set = self._set_for(line_addr)
-        state = cache_set.pop(line_addr, None)
+        state = self._probe_set(line_addr).pop(line_addr, None)
         if state is None:
             return None
         if state.dirty_mask:
@@ -157,13 +170,19 @@ class SectorCache:
         return Eviction(line_addr, state.dirty_mask)
 
     def resident(self, line_addr: int) -> bool:
-        return line_addr in self._set_for(line_addr)
+        return line_addr in self._probe_set(line_addr)
+
+    def lines(self) -> Iterator[Tuple[int, LineState]]:
+        """Every resident ``(line_addr, state)``, in ascending set index
+        and LRU-first order within a set."""
+        for index in sorted(self._sets):
+            yield from self._sets[index].items()
 
     def occupancy(self) -> Dict[str, int]:
         """Resident/dirty line counts (observability snapshots)."""
         lines = 0
         dirty = 0
-        for cache_set in self._sets:
+        for cache_set in self._sets.values():
             lines += len(cache_set)
             for state in cache_set.values():
                 if state.dirty_mask:
@@ -175,12 +194,12 @@ class SectorCache:
         }
 
     def flush(self) -> List[Eviction]:
-        """Empty the cache, returning all dirty victims."""
-        out = []
-        for cache_set in self._sets:
-            for line_addr, state in cache_set.items():
-                if state.dirty_mask:
-                    out.append(Eviction(line_addr, state.dirty_mask))
-                    self.stats.writebacks += 1
-            cache_set.clear()
+        """Empty the cache, returning all dirty victims in ascending set
+        index and LRU-first order within a set."""
+        out = [
+            Eviction(line_addr, state.dirty_mask)
+            for line_addr, state in self.lines() if state.dirty_mask
+        ]
+        self.stats.writebacks += len(out)
+        self._sets.clear()
         return out

@@ -215,16 +215,13 @@ def _pump(kernel: Kernel, mc: MemoryController,
 
 def run_case(case: FuzzCase, registry=None,
              oracle_data: bool = True,
-             readiness_index: bool = True,
-             event_wheel: bool = True,
+             reference: bool = False,
              stall_ledger=None,
              on_command=None) -> CaseResult:
     """Execute one case with checker + oracles attached (collect mode).
 
-    ``readiness_index`` toggles the controller's incremental FR-FCFS
-    readiness index against the full-recompute reference scheduler,
-    ``event_wheel`` toggles memoized event-wheel wake-ups against the
-    plain polling reference, ``stall_ledger`` (an
+    ``reference`` swaps the controller's incremental FR-FCFS readiness
+    index for the full-recompute reference scheduler, ``stall_ledger`` (an
     :class:`~repro.obs.stalls.StallLedger`) captures the controller's
     wait attribution, and ``on_command`` (``(cycle, command, request)``)
     observes the issued command stream -- together they let the
@@ -248,8 +245,7 @@ def run_case(case: FuzzCase, registry=None,
     mc = MemoryController(
         kernel, corrupted, geometry,
         ControllerConfig(refresh_enabled=case.refresh,
-                         readiness_index=readiness_index,
-                         event_wheel=event_wheel),
+                         reference=reference),
         salp=scheme.salp_mode,
     )
     if on_command is not None:

@@ -123,15 +123,19 @@ def _emit(args, name: str, payload, text_fn) -> int:
 
 
 def _cmd_figure12(args) -> int:
-    from .harness.figure12 import run_figure12
+    from .harness.figure12 import UnknownQueryError, run_figure12
 
     engine = _make_engine(args)
-    result = run_figure12(
-        n_ta=args.ta, n_tb=args.tb,
-        designs=args.designs or None,
-        queries=args.queries or None,
-        engine=engine,
-    )
+    try:
+        result = run_figure12(
+            n_ta=args.ta, n_tb=args.tb,
+            designs=args.designs or None,
+            queries=args.queries or None,
+            engine=engine,
+        )
+    except UnknownQueryError as exc:
+        print(f"repro figure12: {exc}", file=sys.stderr)
+        return 2
     code = _emit(args, "figure12", result.payload(), result.render)
     _finish_sweep(args, "figure12", engine)
     return code

@@ -174,13 +174,12 @@ class Core:
     # --------------------------------------------------------- op handlers
 
     def _retry_later(self) -> bool:
-        # Queue-full backpressure keeps the fixed retry grid in both
-        # scheduling modes.  An event-driven wake at the exact cycle a
-        # slot frees would submit at a *different* kernel instant than
-        # the polling grid does, changing same-cycle submit order, queue
-        # append order, and therefore FR-FCFS FCFS tie-breaks -- the
-        # cycle-exactness the event-wheel equivalence suite locks down
-        # forbids it.  A failed attempt is also not skippable: its cache
+        # Queue-full backpressure keeps a fixed retry grid.  An
+        # event-driven wake at the exact cycle a slot frees would submit
+        # at a *different* kernel instant than the grid does, changing
+        # same-cycle submit order, queue append order, and therefore
+        # FR-FCFS FCFS tie-breaks -- the cycle-exactness the
+        # fast-vs-reference equivalence suite locks down forbids it.  A failed attempt is also not skippable: its cache
         # lookups touch shared LRU state other cores interleave with.
         self.retries += 1
         self._schedule_advance(self.kernel.now + self.config.retry_interval)

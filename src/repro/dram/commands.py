@@ -117,6 +117,12 @@ class Request:
     _sched_cache: Optional[tuple] = field(
         default=None, repr=False, compare=False
     )
+    #: what that entry depends on in this request, as plain ints (rank,
+    #: bank, row, row-wise?, read?, I/O mode code, subrank): requests
+    #: with equal keys share one entry per scheduler scan
+    _sched_key: Optional[tuple] = field(
+        default=None, repr=False, compare=False
+    )
     #: direct references to the RankState/BankState/SubarrayState this
     #: request's fixed address decodes to, filled by the controller at
     #: submit so the scheduler scan skips the ranks[...]/banks[...]

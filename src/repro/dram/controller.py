@@ -34,7 +34,7 @@ from ..obs.stalls import (
 )
 from .bank import FOREVER
 from .channel import ChannelState
-from .commands import Command, IOMode, Request, RequestType
+from .commands import Command, IOMode, Request, RequestType, RowKind
 from .geometry import Geometry
 from .timing import TimingParams
 
@@ -74,24 +74,12 @@ class ControllerConfig:
     #: "open" (Table 2 default) keeps rows open for FR-FCFS row hits;
     #: "closed" auto-precharges after every column command (RDA/WRA).
     page_policy: str = "open"
-    #: cache each queued request's (command, earliest, reason) readiness
-    #: entry and invalidate it with bank/rank version counters instead of
-    #: re-deriving it for every request on every wakeup.  False selects
-    #: the old-style full recompute; command streams are identical either
-    #: way (enforced by the scheduler-equivalence test).
-    readiness_index: bool = True
-    #: event-wheel scheduling: after issuing a command the controller
-    #: dry-runs the next cycle's scheduler scan while the readiness index
-    #: is hot and stashes the decision, so the wake-up one cycle later
-    #: replays it in O(1) instead of re-scanning (any intervening submit
-    #: invalidates the stash).  The wake-up *event stream* is identical
-    #: to polling's by construction -- every scheduling decision happens
-    #: at the same kernel instant -- which is what makes command streams,
-    #: cycle counts and stall ledgers exactly equal in both modes
-    #: (enforced by the event-wheel equivalence suite).  False disables
-    #: the dry-run, keeping the plain re-scan as the behavioral
-    #: reference oracle.
-    event_wheel: bool = True
+    #: the slow behavioral reference: re-derive every queued request's
+    #: next command on every wake-up (no readiness index) and re-lower
+    #: every blocked writeback on every poll (no futility gate).  Command
+    #: streams, cycles and stall ledgers are identical either way
+    #: (enforced by the fast-vs-reference batteries).
+    reference: bool = False
 
 
 #: how a readiness entry's earliest time combines with the shared-bus
@@ -101,6 +89,9 @@ class ControllerConfig:
 _BUS_NONE = 0
 _BUS_CAS = 1
 _BUS_MRS = 2
+
+#: I/O modes as plain ints for the request sharing key
+_IO_CODES = {mode: code for code, mode in enumerate(IOMode)}
 
 
 @dataclass
@@ -188,23 +179,6 @@ class MemoryController:
         self.stats = CommandStats()
         self._draining_writes = False
         self._wakeup_at: Optional[int] = None
-        self._wakeup_token = None
-        # Event-wheel dry-run state: the full scheduler decision
-        # `_peek_wake` derived for the next cycle's wake-up, reusable iff
-        # no submit moved the queues since (`_queue_epoch`).  The wake-up
-        # event itself is still scheduled -- the wheel never changes
-        # *when* the controller wakes relative to polling, only whether
-        # the wake-up replays a memoized decision in O(1) or re-runs the
-        # FR-FCFS scan.  Keeping the event stream identical to polling's
-        # is what makes command streams, cycle counts and stall ledgers
-        # match exactly: every scheduling decision happens at the same
-        # kernel instant, interleaved identically with core and
-        # completion events.
-        self._peeked: Optional[tuple] = None
-        self._queue_epoch: int = 0
-        #: wake-ups that replayed a memoized dry-run decision instead of
-        #: re-running the FR-FCFS scan (event-wheel mode only)
-        self.peek_hits: int = 0
         self._last_cas_group: Optional[Tuple[int, int]] = None
         # per-wakeup memo of earliest_cas_for_bus results, valid for one
         # data-bus epoch: queued requests overwhelmingly share their
@@ -234,16 +208,24 @@ class MemoryController:
                 kind, capacity, request.source_core, self.kernel.now
             )
         request.arrival = self.kernel.now
-        rank = self.channel.ranks[request.addr.rank]
+        addr = request.addr
+        rank = self.channel.ranks[addr.rank]
         request._rank = rank
-        bank = rank.banks[request.addr.bank]
+        bank = rank.banks[addr.bank]
         request._bank = bank
-        request._sub = bank.sub_for_row(request.row_id()[1])
+        request._sub = bank.sub_for_row(addr.row)
+        # everything `_entry_terms` and the bus signature read from the
+        # request, as plain ints (an Enum member would hash through
+        # Python-level ``Enum.__hash__`` on every scan)
+        request._sched_key = (
+            addr.rank, addr.bank, addr.row,
+            request.row_kind is RowKind.ROW, request.is_read,
+            _IO_CODES[request.io_mode], request.subrank,
+        )
         if request.is_read:
             self.read_queue.append(request)
         else:
             self.write_queue.append(request)
-        self._queue_epoch += 1
         self._schedule_wakeup(self.kernel.now)
 
     def can_accept(self, request: Request) -> bool:
@@ -268,31 +250,20 @@ class MemoryController:
         # event -- the oldest one scheduled for it -- is the one that
         # acts, at its *original* sequence position within the cycle
         # (before any same-cycle events scheduled later).  The stall
-        # ledger depends on that ordering, and keeping it identical in
-        # both scheduling modes is what makes the event wheel exact.
+        # ledger depends on that ordering.
         self._wakeup_at = when
-        self._wakeup_token = self.kernel.schedule_at(when, self._wakeup)
+        self.kernel.schedule_at(when, self._wakeup)
 
     def _wakeup(self) -> None:
         # Drop stale events: only the event matching the armed time acts.
         # (When an earlier wake-up is scheduled over a pending later one,
         # the later event still fires; acting on it would fork a second
-        # self-perpetuating wake-up chain.)  Both scheduling modes rely
-        # on this guard -- superseded events are never cancelled.
+        # self-perpetuating wake-up chain.)  Superseded events are never
+        # cancelled.
         if self._wakeup_at != self.kernel.now:
             return
         self._wakeup_at = None
-        self._wakeup_token = None
-        now = self.kernel.now
-        next_time = self._try_issue(now)
-        if (next_time is not None and next_time == now + 1
-                and self.config.event_wheel):
-            # Event wheel: dry-run the next cycle's scheduler scan while
-            # the readiness index is hot, so the wake-up at ``now + 1``
-            # can replay the decision in O(1) unless a submit lands in
-            # between.  The wake-up itself is still scheduled below,
-            # exactly as in polling mode.
-            self._peek_wake(now + 1)
+        next_time = self._try_issue(self.kernel.now)
         if next_time is not None:
             self._schedule_wakeup(next_time)
 
@@ -307,19 +278,6 @@ class MemoryController:
 
     def _try_issue(self, now: int) -> Optional[int]:
         """Issue at most one command; return the next wake-up time."""
-        peeked = self._peeked
-        if peeked is not None:
-            self._peeked = None
-            if peeked[0] == self._queue_epoch and peeked[1] == now:
-                # nothing arrived since the dry-run: its decision is
-                # exact, replay it without re-running the scan
-                self.peek_hits += 1
-                if peeked[2] == "issue":
-                    return self._issue_peeked(now, peeked)
-                _epoch, _when, _kind, draining, reason, wake = peeked
-                self._draining_writes = draining
-                self._note_wait(now, wake, reason)
-                return wake
         if self.channel.next_command > now:
             self._note_wait(now, self.channel.next_command, CCD_BUS)
             return self.channel.next_command
@@ -356,57 +314,6 @@ class MemoryController:
         if self.stall_ledger is not None:
             self.stall_ledger.note(start, end, reason)
 
-    def _peek_wake(self, now: int) -> None:
-        """Dry-run the scheduler scan the wake-up at ``now`` will perform.
-
-        Pure: no stall notes, no hysteresis commit, no state mutation
-        beyond stashing the outcome in ``_peeked`` tagged with the queue
-        epoch -- any submit landing before the wake-up invalidates the
-        stash and the wake-up re-runs the scan with the arrival, exactly
-        as polling would.  Between this dry-run (end of the current
-        wake-up) and the wake-up at ``now`` the scan's inputs can only
-        change via submits: requests leave queues solely when this
-        controller issues, and bank/bus/refresh state mutates solely via
-        controller commands.  Outcomes other than a scan decision (bus
-        busy, refresh due, idle) are O(1) to recompute, so they are not
-        memoized -- the stash stays None and the wake-up takes its normal
-        path."""
-        self._peeked = None
-        if self.channel.next_command > now:
-            return
-        if self._refresh_due(now) is not None:
-            return
-        queue, draining = self._pick_queue()
-        if queue is None:
-            return
-        choice = self._frfcfs_choose(now, queue)
-        if choice is None:
-            return
-        request, command, earliest, reason = choice
-        drain_note = queue is self.write_queue and bool(self.read_queue)
-        if earliest > now:
-            if drain_note:
-                reason = WRITE_DRAIN
-            wake = min(earliest, self._next_refresh_deadline() or FOREVER)
-            self._peeked = (
-                self._queue_epoch, now, "wait", draining, reason, wake,
-            )
-        else:
-            self._peeked = (
-                self._queue_epoch, now, "issue", request, command, queue,
-                draining, drain_note,
-            )
-
-    def _issue_peeked(self, now: int, peeked: tuple) -> Optional[int]:
-        """Issue the command a `_peek_wake` dry-run chose for this cycle."""
-        (_epoch, _when, _kind, request, command, queue, draining,
-         drain_note) = peeked
-        self._draining_writes = draining
-        if drain_note:
-            self._note_wait(now, now + 1, WRITE_DRAIN)
-        self._issue(now, request, command, queue)
-        return now + 1 if (self.read_queue or self.write_queue) else None
-
     def _next_refresh_deadline(self) -> Optional[int]:
         if not self.config.refresh_enabled or self.timing.tREFI <= 0:
             return None
@@ -416,30 +323,20 @@ class MemoryController:
 
     def _active_queue(self) -> Optional[List[Request]]:
         """Pick the queue to serve, honouring write-drain watermarks."""
-        queue, self._draining_writes = self._pick_queue()
-        return queue
-
-    def _pick_queue(self) -> Tuple[Optional[List[Request]], bool]:
-        """``(queue, draining_after)``: the queue a wake-up would serve and
-        the write-drain hysteresis state it would leave behind.  Side-effect
-        free so the event-wheel dry-run can evaluate a wake-up without
-        committing the drain transition (the hysteresis update is idempotent
-        for a given pair of queue lengths, so deferring the commit to the
-        real wake-up cannot change any later decision)."""
         cfg = self.config
-        draining = self._draining_writes
-        if draining:
+        if self._draining_writes:
             if len(self.write_queue) <= cfg.write_low_watermark:
-                draining = False
+                self._draining_writes = False
             else:
-                return self.write_queue, True
+                return self.write_queue
         if len(self.write_queue) >= cfg.write_high_watermark:
-            return self.write_queue, True
+            self._draining_writes = True
+            return self.write_queue
         if self.read_queue:
-            return self.read_queue, draining
+            return self.read_queue
         if self.write_queue:
-            return self.write_queue, draining
-        return None, draining
+            return self.write_queue
+        return None
 
     def _frfcfs_choose(
         self, now: int, queue: List[Request]
@@ -451,11 +348,14 @@ class MemoryController:
         (command, earliest, reason) triple is cached on the request and
         re-derived only when the bank/rank state it reads has moved (the
         version counters); the shared-bus terms, which move on every
-        issue, are applied at lookup time via a per-epoch memo.  The
+        issue, are applied at lookup time via a per-epoch memo.  Stale
+        requests with the same ``_sched_key`` share one derivation per
+        scan: nothing the terms read changes during a scan, and requests
+        queued to one bank nearly always want the same row.  The
         ``future`` minimum keeps wakeup scheduling exact: the controller
         still sleeps to the soonest candidate, never past it.
         """
-        if not self.config.readiness_index:
+        if self.config.reference:
             return self._frfcfs_choose_recompute(now, queue)
         ready_cas: Optional[Tuple[Request, Command, int, str]] = None
         ready_other: Optional[Tuple[Request, Command, int, str]] = None
@@ -467,33 +367,19 @@ class MemoryController:
             self._bus_memo_version = chan.data_version
         memo = self._bus_memo
         memo_get = memo.get
+        fresh: dict = {}  # _sched_key -> entry derived during this scan
         mrs = Command.MRS
         sa_sel = Command.SA_SEL
         for index, request in enumerate(queue):
-            rank = request._rank
             bank = request._bank
-            sub = request._sub
             entry = request._sched_cache
             if (entry is None or entry[0] != bank.version
-                    or entry[1] != rank.version
-                    or entry[2] != sub.version):
-                terms = self._entry_terms(request, rank, bank)
-                addr = request.addr
-                if terms[3] == _BUS_CAS:
-                    # Pre-resolve the per-epoch memo signature with an int
-                    # flag instead of the Command member: tuple hashing
-                    # would otherwise go through Python-level
-                    # ``Enum.__hash__`` on every lookup.
-                    is_rd = terms[0] is Command.RD
-                    extra = (
-                        (0 if is_rd else 1, addr.rank, request.subrank),
-                        RequestType.READ if is_rd else RequestType.WRITE,
-                        (addr.rank, addr.bank_group),
-                    )
-                else:
-                    extra = (None, None, (addr.rank, addr.bank_group))
-                entry = (bank.version, rank.version, sub.version) \
-                    + terms + extra
+                    or entry[1] != request._rank.version
+                    or entry[2] != request._sub.version):
+                entry = fresh.get(request._sched_key)
+                if entry is None:
+                    entry = fresh[request._sched_key] = \
+                        self._index_entry(request)
                 request._sched_cache = entry
             command = entry[3]
             if (command is mrs or command is sa_sel) and index > 0:
@@ -539,12 +425,35 @@ class MemoryController:
             return ready_cas
         return ready_other if ready_other is not None else future
 
+    def _index_entry(self, request: Request) -> tuple:
+        """A fresh readiness-index entry for ``request``: the version
+        stamps, :meth:`_entry_terms`, and the lookup-time bus signature."""
+        rank = request._rank
+        bank = request._bank
+        sub = request._sub
+        terms = self._entry_terms(request, rank, bank)
+        addr = request.addr
+        if terms[3] == _BUS_CAS:
+            # Pre-resolve the per-epoch memo signature with an int flag
+            # instead of the Command member: tuple hashing would
+            # otherwise go through Python-level ``Enum.__hash__`` on
+            # every lookup.
+            is_rd = terms[0] is Command.RD
+            extra = (
+                (0 if is_rd else 1, addr.rank, request.subrank),
+                RequestType.READ if is_rd else RequestType.WRITE,
+                (addr.rank, addr.bank_group),
+            )
+        else:
+            extra = (None, None, (addr.rank, addr.bank_group))
+        return (bank.version, rank.version, sub.version) + terms + extra
+
     def _frfcfs_choose_recompute(
         self, now: int, queue: List[Request]
     ) -> Optional[Tuple[Request, Command, int, str]]:
         """Old-style scan: re-derive every queued request's next command
-        on every wakeup.  Kept as the behavioral reference the readiness
-        index is tested against."""
+        on every wakeup.  The behavioral reference the readiness index is
+        tested against (``ControllerConfig(reference=True)``)."""
         ready_cas: Optional[Tuple[Request, Command, int, str]] = None
         ready_other: Optional[Tuple[Request, Command, int, str]] = None
         future: Optional[Tuple[Request, Command, int, str]] = None
@@ -878,7 +787,7 @@ class MemoryController:
             )
         if self.slot_listener is not None:
             # a queue slot just freed: let the system wake whoever is
-            # backpressured on it (event-wheel replacement for retry polls)
+            # backpressured on it (gates futile writeback polls)
             self.slot_listener(request)
 
     def _account_cas(self, request: Request, command: Command) -> None:
@@ -937,22 +846,3 @@ class MemoryController:
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI
         return now + 1
-
-    def _refresh_step_wake(self, now: int, rank_id: int) -> Optional[int]:
-        """Side-effect-free mirror of :meth:`_issue_refresh_step`: the time
-        that step would return *without issuing anything*, or ``now`` when
-        it would issue a command (PRE or REF) this cycle."""
-        rank = self.channel.ranks[rank_id]
-        if rank.busy_until > now:
-            return rank.busy_until
-        if not rank.all_banks_precharged():
-            soonest = FOREVER
-            for bank in rank.banks:
-                sub = bank.pre_candidate(now)
-                if sub is None:
-                    continue
-                if sub.next_pre <= now:
-                    return now
-                soonest = min(soonest, sub.next_pre)
-            return soonest
-        return now

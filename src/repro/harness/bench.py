@@ -118,8 +118,8 @@ def run_bench(
                 "ops_per_sec": mem_ops / sim_wall_s if sim_wall_s else 0.0,
                 # wake-up efficiency: executed kernel events, and events
                 # per simulated cycle (deterministic, like cycles -- the
-                # event wheel keeps it identical to the polling reference
-                # by construction, so drift here is a behavior change)
+                # fast scheduler keeps it identical to the reference by
+                # construction, so drift here is a behavior change)
                 "events": events,
                 "events_per_cycle": (
                     events / result.cycles if result.cycles else 0.0

@@ -112,12 +112,23 @@ class Figure12Result:
         return "\n".join(lines)
 
 
+class UnknownQueryError(ValueError):
+    """A query selection names queries Figure 12 does not have."""
+
+
 def _query_lists(queries: Optional[Sequence[str]]):
-    q_list = [q for q in q_queries() if queries is None or q.name in queries]
-    qs_list = [
-        q for q in qs_queries() if queries is None or q.name in queries
-    ]
-    return q_list, qs_list
+    q_all, qs_all = q_queries(), qs_queries()
+    if queries is None:
+        return q_all, qs_all
+    known = [q.name for q in q_all + qs_all]
+    unknown = [name for name in queries if name not in known]
+    if unknown:
+        raise UnknownQueryError(
+            f"unknown queries: {' '.join(unknown)} "
+            f"(known: {' '.join(known)})"
+        )
+    return ([q for q in q_all if q.name in queries],
+            [q for q in qs_all if q.name in queries])
 
 
 def build_figure12_spec(

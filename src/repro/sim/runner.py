@@ -206,14 +206,12 @@ def _publish_metrics(
     # visible long before they trip _MAX_EVENTS.
     reg.gauge("sim.events").set(events)
     reg.gauge("sim.max_events").set(max_events)
-    # Event-wheel efficiency gauges: executed kernel events per simulated
-    # cycle (the wakeup-efficiency number the bench ratchets), memoized
-    # scheduler replays, and writeback-poll futility.
+    # Wakeup-efficiency gauges: executed kernel events per simulated
+    # cycle (the number the bench ratchets) and writeback-poll futility.
     reg.set_ratio("sim.events_per_cycle", events, cycles)
     if kernel is not None:
         reg.gauge("kernel.events").set(kernel.events)
         reg.gauge("kernel.cancelled").set(kernel.cancelled)
-    reg.gauge("dram.peek_hits").set(system.controller.peek_hits)
     reg.gauge("sys.wb_polls").set(system.wb_polls)
     reg.gauge("sys.wb_polls_futile").set(system.wb_polls_futile)
     frac = events / max_events if max_events else 0.0

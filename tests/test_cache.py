@@ -107,6 +107,35 @@ class TestSectorCache:
         with pytest.raises(ValueError):
             SectorCache(size_bytes=100, ways=3)
 
+    def test_flush_orders_by_set_then_lru(self):
+        """Dirty victims come out in ascending set index, LRU first
+        within a set, whatever order the sets were first touched in --
+        the end-of-run writeback (and so command) order depends on it."""
+        c = small_cache(ways=2, sets=4)
+        for line in (3, 1, 5, 0, 4, 2):  # set index = line % 4
+            c.fill(line * 64, 0b1111, dirty=line != 0)
+        c.lookup(1 * 64, 0b0001)  # line 1 becomes MRU in set 1
+        flushed = [e.line_addr // 64 for e in c.flush()]
+        assert flushed == [4, 5, 1, 2, 3]
+        assert c.stats.writebacks == 5
+        occ = c.occupancy()
+        assert occ["lines"] == 0 and occ["dirty_lines"] == 0
+        assert c.flush() == []
+
+    def test_new_cache_builds_no_sets(self):
+        """Sets are built on first fill: a fresh 8MB LLC reports its full
+        capacity without materialising any of its 16k sets, and a miss
+        probe does not build one either."""
+        c = SectorCache(size_bytes=8 * 1024 * 1024, ways=8)
+        assert c.occupancy() == {
+            "lines": 0, "dirty_lines": 0, "capacity_lines": 131072,
+        }
+        assert c.lookup(0, 0b0001) == (False, 0b0001)
+        assert c.invalidate(0) is None and not c.mark_dirty(0, 1)
+        assert not c.resident(0) and not c._sets
+        c.fill(64, 0b0001)
+        assert len(c._sets) == 1 and c.occupancy()["lines"] == 1
+
 
 class TestHierarchy:
     def make(self, sectors=4):

@@ -69,6 +69,23 @@ class TestCommands:
         code = main(["figure15", "--ta", "64", "--panels", "z"])
         assert code == 2
 
+    @pytest.mark.parametrize("queries", (["Q99"], ["Q3", "Q99", "Qs0"]))
+    def test_figure12_unknown_query(self, capsys, queries):
+        """Unknown query names are a usage error: one line naming them,
+        no table, no traceback -- not an empty sweep with null gmeans."""
+        code = main(["figure12", "--ta", "64", "--tb", "64", "--no-cache",
+                     "--json", "--queries", *queries])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        unknown = [q for q in queries if q != "Q3"]
+        assert lines[0].startswith(
+            "repro figure12: unknown queries: " + " ".join(unknown) + " ("
+        )
+        assert "Traceback" not in captured.err
+
 
 class TestJsonOutput:
     def test_schemes_json(self, capsys):

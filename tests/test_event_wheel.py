@@ -1,23 +1,35 @@
-"""Event-wheel lockdown: exactness, wakeup efficiency, and the guard
-paths the wheel's equivalence argument leans on.
+"""Scheduler lockdown: exactness against the reference, wakeup
+efficiency, and the guard paths the equivalence argument leans on.
 
-The event wheel's contract is that it never changes *behavior*, only the
-cost of re-deriving scheduler decisions: the controller's wake-up event
-stream is identical to the polling reference by construction, so command
-streams, cycle counts and stall ledgers match exactly.  The fuzzed
-battery in ``test_vectorized.py`` replays controller-level traces under
-both modes; this file locks down the rest -- full-system equivalence
-under backpressure, the stale-wakeup guard, the writeback-poll futility
-gate, and the O(commands)-not-O(cycles) event count on idle-gap
-workloads.
+The fast scheduler's contract is that it never changes *behavior*, only
+the cost of reaching scheduler decisions: against
+``ControllerConfig(reference=True)`` (full-recompute scan, no writeback
+futility gate) command streams, cycle counts and stall ledgers match
+exactly.  The fuzzed batteries in ``test_vectorized.py`` replay
+controller-level traces in both modes; this file locks down the rest --
+full-system equivalence under backpressure, the stale-wakeup guard, the
+writeback-poll futility gate, the per-scan shared readiness entries, and
+the O(commands)-not-O(cycles) event count on idle-gap workloads.
 """
 
 import dataclasses
+import random
 
 import pytest
 
-from repro.dram import AddressMapper, ControllerConfig, DDR4_2400
-from repro.dram.controller import MemoryController
+from repro.core.registry import make_scheme
+from repro.dram import (
+    AddressMapper,
+    Command,
+    ControllerConfig,
+    DDR4_2400,
+    IOMode,
+    Request,
+    RequestType,
+    RowKind,
+)
+from repro.dram.address import DecodedAddress
+from repro.dram.controller import _BUS_CAS, MemoryController
 from repro.imdb.queries import by_name
 from repro.kernel import Kernel
 from repro.obs import Observation
@@ -28,18 +40,18 @@ from repro.workloads import make_tables
 from .test_dram_controller import read
 
 
-def _config(event_wheel, **ctrl):
+def _config(reference, **ctrl):
     return dataclasses.replace(
         SystemConfig(),
-        controller=ControllerConfig(event_wheel=event_wheel, **ctrl),
+        controller=ControllerConfig(reference=reference, **ctrl),
     )
 
 
-def _run(scheme, query_name, event_wheel, tables, **ctrl):
+def _run(scheme, query_name, tables, reference=False, **ctrl):
     obs = Observation()
     result = run_query(
         scheme, by_name()[query_name], tables,
-        config=_config(event_wheel, **ctrl), observe=obs,
+        config=_config(reference, **ctrl), observe=obs,
     )
     return result, obs
 
@@ -112,37 +124,27 @@ def test_wheel_matches_polling_full_system(scheme, query, tables):
     """Full-system exactness on tiny controller queues, so core
     backpressure retries and blocked writebacks are actually exercised:
     cycles, command counts and the controller stall ledger must be
-    identical in both scheduling modes."""
-    wheel, wobs = _run(scheme, query, True, tables, **_BACKPRESSURE)
-    poll, pobs = _run(scheme, query, False, tables, **_BACKPRESSURE)
-    assert wheel.cycles == poll.cycles
-    assert wheel.memory_stats == poll.memory_stats
-    assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
-    assert wheel.stalls == poll.stalls
+    identical to the reference."""
+    fast, fobs = _run(scheme, query, tables, **_BACKPRESSURE)
+    ref, robs = _run(scheme, query, tables, reference=True,
+                     **_BACKPRESSURE)
+    assert fast.cycles == ref.cycles
+    assert fast.memory_stats == ref.memory_stats
+    assert fobs.stalls.ledger.entries == robs.stalls.ledger.entries
+    assert fast.stalls == ref.stalls
     # the tiny queues must actually bite, or this test proves nothing
-    assert wheel.metrics["core.retries"] > 0
+    assert fast.metrics["core.retries"] > 0
     # identical event streams is the mechanism behind the exactness
-    assert wheel.metrics["kernel.events"] == poll.metrics["kernel.events"]
+    assert fast.metrics["kernel.events"] == ref.metrics["kernel.events"]
 
 
 def test_wheel_matches_polling_default_config(tables):
     """Same exactness at the default (paper) configuration."""
-    wheel, wobs = _run("SAM-en", "Qs1", True, tables)
-    poll, pobs = _run("SAM-en", "Qs1", False, tables)
-    assert wheel.cycles == poll.cycles
-    assert wheel.memory_stats == poll.memory_stats
-    assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
-
-
-# ------------------------------------------------- memoized scheduler
-
-def test_peek_hits_only_in_wheel_mode(tables):
-    """The dry-run memo must actually be exercised in wheel mode and
-    never in the polling reference."""
-    wheel, _ = _run("SAM-en", "Q3", True, tables)
-    poll, _ = _run("SAM-en", "Q3", False, tables)
-    assert wheel.metrics["dram.peek_hits"] > 0
-    assert poll.metrics["dram.peek_hits"] == 0
+    fast, fobs = _run("SAM-en", "Qs1", tables)
+    ref, robs = _run("SAM-en", "Qs1", tables, reference=True)
+    assert fast.cycles == ref.cycles
+    assert fast.memory_stats == ref.memory_stats
+    assert fobs.stalls.ledger.entries == robs.stalls.ledger.entries
 
 
 # ------------------------------------------------- writeback futility
@@ -150,8 +152,8 @@ def test_peek_hits_only_in_wheel_mode(tables):
 def test_no_writeback_polls_when_queue_never_blocks(tables):
     """Writeback polling is demand-driven in both modes: a run whose
     writebacks are always admitted immediately schedules zero polls."""
-    wheel, _ = _run("SAM-en", "Q3", True, tables)
-    assert wheel.metrics["sys.wb_polls"] == 0
+    fast, _ = _run("SAM-en", "Q3", tables)
+    assert fast.metrics["sys.wb_polls"] == 0
 
 
 def test_blocked_writebacks_drain_identically(tables):
@@ -164,17 +166,18 @@ def test_blocked_writebacks_drain_identically(tables):
         write_low_watermark=1,
     )
     for query in ("Q11", "Q12"):
-        wheel, wobs = _run("baseline", query, True, tables, **ctrl)
-        poll, pobs = _run("baseline", query, False, tables, **ctrl)
-        assert wheel.cycles == poll.cycles
-        assert wheel.memory_stats == poll.memory_stats
-        assert wobs.stalls.ledger.entries == pobs.stalls.ledger.entries
-        assert wheel.metrics["sys.writebacks"] > 0
-        assert wheel.metrics["sys.wb_polls"] > 0
+        fast, fobs = _run("baseline", query, tables, **ctrl)
+        ref, robs = _run("baseline", query, tables, reference=True,
+                         **ctrl)
+        assert fast.cycles == ref.cycles
+        assert fast.memory_stats == ref.memory_stats
+        assert fobs.stalls.ledger.entries == robs.stalls.ledger.entries
+        assert fast.metrics["sys.writebacks"] > 0
+        assert fast.metrics["sys.wb_polls"] > 0
         assert (
-            wheel.metrics["sys.wb_polls"] == poll.metrics["sys.wb_polls"]
+            fast.metrics["sys.wb_polls"] == ref.metrics["sys.wb_polls"]
         )
-        assert poll.metrics["sys.wb_polls_futile"] == 0
+        assert ref.metrics["sys.wb_polls_futile"] == 0
 
 
 def test_writeback_futility_gate_skips_relowering():
@@ -182,7 +185,6 @@ def test_writeback_futility_gate_skips_relowering():
     provably futile: the gate must re-arm without re-lowering the
     blocked line, and resume draining the moment a slot-freed
     notification arrives."""
-    from repro.core.registry import make_scheme
     from repro.sim.system import MemorySystem
 
     kernel = Kernel()
@@ -208,6 +210,92 @@ def test_writeback_futility_gate_skips_relowering():
     assert not system._pending_writebacks
     assert lowered == [0, 0]  # exactly one real re-lower drained it
     assert system.wb_polls > system.wb_polls_futile
+
+
+# -------------------------------------------- shared readiness entries
+
+def _bus_signature(request, terms):
+    """The lookup-time bus half of a readiness entry, spelled out."""
+    addr = request.addr
+    group = (addr.rank, addr.bank_group)
+    if terms[3] != _BUS_CAS:
+        return (None, None, group)
+    is_rd = terms[0] is Command.RD
+    return (
+        (0 if is_rd else 1, addr.rank, request.subrank),
+        RequestType.READ if is_rd else RequestType.WRITE,
+        group,
+    )
+
+
+@pytest.mark.parametrize("scheme", ("baseline", "SAM-en", "masa"))
+def test_shared_entries_equal_fresh_terms(scheme):
+    """Keep both queues full of requests that mostly share a bank and
+    row, with mixed I/O modes and row kinds.  After every scan, each
+    request whose entry is current must hold exactly what a fresh
+    ``_entry_terms`` plus its own bus signature gives -- and the scans
+    must really share entries between requests."""
+    scheme_obj = make_scheme(scheme)
+    kernel = Kernel()
+    mc = MemoryController(
+        kernel, scheme_obj.timing, scheme_obj.geometry,
+        ControllerConfig(refresh_enabled=False), salp=scheme_obj.salp_mode,
+    )
+    rng = random.Random(scheme)
+    pending = [
+        Request(
+            addr=DecodedAddress(
+                channel=0, rank=rng.choice((0, 0, 1)),
+                bank=rng.choice((0, 0, 0, 5)),
+                row=rng.choice((7, 7, 7, 8, 7 + 512)),
+                column=rng.randrange(128), offset=0,
+            ),
+            type=rng.choice((RequestType.READ,) * 3 + (RequestType.WRITE,)),
+            io_mode=rng.choice((IOMode.X4,) * 5 + (IOMode.STRIDE,)),
+            row_kind=rng.choice((RowKind.ROW,) * 5 + (RowKind.COLUMN,)),
+        )
+        for _ in range(400)
+    ]
+    done = []
+
+    def refill(*_):
+        while pending and mc.can_accept(pending[-1]):
+            request = pending.pop()
+            request.on_complete = lambda r, t: (done.append(r), refill())
+            mc.submit(request)
+
+    scans = checked = derived = distinct = 0
+    real_choose = mc._frfcfs_choose
+
+    def checking_choose(now, queue):
+        nonlocal scans, checked, derived, distinct
+        before = [request._sched_cache for request in queue]
+        choice = real_choose(now, queue)
+        scans += 1
+        rebuilt = [
+            request._sched_cache for request, old in zip(queue, before)
+            if request._sched_cache is not old
+        ]
+        derived += len(rebuilt)
+        distinct += len({id(entry) for entry in rebuilt})
+        for request in queue:
+            entry = request._sched_cache
+            stamps = (request._bank.version, request._rank.version,
+                      request._sub.version)
+            if entry is None or entry[:3] != stamps:
+                continue  # not reached by a scan that returned early
+            terms = mc._entry_terms(request, request._rank, request._bank)
+            assert entry[3:7] == terms
+            assert entry[7:] == _bus_signature(request, terms)
+            checked += 1
+        return choice
+
+    mc._frfcfs_choose = checking_choose
+    refill()
+    kernel.run()
+    assert len(done) == 400 and mc.idle()
+    assert scans > 100 and checked > 10 * scans
+    assert distinct < derived // 2  # most re-derivations were shared
 
 
 # ----------------------------------------------- wakeup efficiency
@@ -241,7 +329,7 @@ def test_idle_gap_workload_events_scale_with_commands():
 def test_event_efficiency_gauges_published(tables):
     """The wakeup-efficiency gauges land in the metrics registry (and
     therefore in run manifests and ``repro bench`` payloads)."""
-    result, _ = _run("SAM-en", "Qs1", True, tables)
+    result, _ = _run("SAM-en", "Qs1", tables)
     m = result.metrics
     assert m["kernel.events"] == m["sim.events"] > 0
     assert m["sim.events_per_cycle"] == pytest.approx(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import repro.dram.commands as dram_commands
-from repro.check.fuzz import SALP_SCHEMES, generate_case, run_case
+from repro.check.fuzz import SALP_SCHEMES, FuzzCase, generate_case, run_case
 from repro.dram import datapath as dp
 from repro.dram import iobuffer as io
 from repro.ecc.chipkill import ChipAlignedSSC, SSCCodec, SSCDSDCodec
@@ -206,8 +206,8 @@ def test_chip_aligned_batches_match_scalar(layout, data):
 
 # ------------------------------------------------- scheduler equivalence
 
-def _command_stream(case, readiness_index=True, event_wheel=True):
-    """One fuzz case replayed under the given scheduler variant.
+def _command_stream(case, reference=False):
+    """One fuzz case replayed under the fast scheduler or the reference.
 
     Returns ``(command_log, final_cycle, ledger_entries)`` so the
     equivalence tests can diff the full observable behavior: the issued
@@ -226,9 +226,7 @@ def _command_stream(case, readiness_index=True, event_wheel=True):
         ))
 
     ledger = StallLedger()
-    result = run_case(case, oracle_data=False,
-                      readiness_index=readiness_index,
-                      event_wheel=event_wheel,
+    result = run_case(case, oracle_data=False, reference=reference,
                       stall_ledger=ledger, on_command=observe)
     assert not result.failed, result.summary()
     return log, result.cycles, [tuple(e) for e in ledger.entries]
@@ -237,10 +235,10 @@ def _command_stream(case, readiness_index=True, event_wheel=True):
 @pytest.mark.parametrize("index", range(12))
 def test_readiness_index_matches_full_recompute(index):
     """The incremental readiness index must issue the exact command
-    stream (cycle, command, request) of the full-recompute scheduler."""
+    stream (cycle, command, request) of the full-recompute reference."""
     case = generate_case(seed=20260808, index=index)
-    fast, _, _ = _command_stream(case, readiness_index=True)
-    slow, _, _ = _command_stream(case, readiness_index=False)
+    fast, _, _ = _command_stream(case)
+    slow, _, _ = _command_stream(case, reference=True)
     assert fast == slow
     assert fast  # a silent empty stream would vacuously pass
 
@@ -251,35 +249,69 @@ def test_readiness_index_matches_recompute_under_salp(index):
     version keys and the SA_SEL path must invalidate exactly like the
     full recompute."""
     case = generate_case(seed=20260808, index=index, schemes=SALP_SCHEMES)
-    fast, _, _ = _command_stream(case, readiness_index=True)
-    slow, _, _ = _command_stream(case, readiness_index=False)
+    fast, _, _ = _command_stream(case)
+    slow, _, _ = _command_stream(case, reference=True)
     assert fast == slow
     assert fast
 
 
 @pytest.mark.parametrize("index", range(12))
 def test_event_wheel_matches_polling(index):
-    """Event-wheel wake-ups must be *exact*: identical command stream,
-    final cycle count, and stall ledger as the per-cycle polling
-    reference, on the same fuzzed traces the readiness battery replays
-    (refresh-heavy cases included -- generate_case mixes them in)."""
+    """Wake-ups must be *exact* against the reference: identical command
+    stream, final cycle count, and stall ledger, on the same fuzzed
+    traces the readiness battery replays (refresh-heavy cases included
+    -- generate_case mixes them in)."""
     case = generate_case(seed=20260808, index=index)
-    wheel = _command_stream(case, event_wheel=True)
-    poll = _command_stream(case, event_wheel=False)
-    assert wheel == poll
-    assert wheel[0]
+    fast = _command_stream(case)
+    slow = _command_stream(case, reference=True)
+    assert fast == slow
+    assert fast[0]
 
 
 @pytest.mark.parametrize("index", range(12))
 def test_event_wheel_matches_polling_under_salp(index):
-    """Same exactness over the subarray-aware schemes, where the dry-run
-    memoization must agree with SA_SEL designation and per-subarray
-    readiness churn."""
+    """Same exactness over the subarray-aware schemes, where wake-up
+    times must agree with SA_SEL designation and per-subarray readiness
+    churn."""
     case = generate_case(seed=20260808, index=index, schemes=SALP_SCHEMES)
-    wheel = _command_stream(case, event_wheel=True)
-    poll = _command_stream(case, event_wheel=False)
-    assert wheel == poll
-    assert wheel[0]
+    fast = _command_stream(case)
+    slow = _command_stream(case, reference=True)
+    assert fast == slow
+    assert fast[0]
+
+
+def _same_row_case(scheme):
+    """A queue that fills with requests to one row: 96 reads and 8
+    writes to consecutive lines, salted with reads to the next row of
+    the same bank (row conflicts) and to a row in another subarray (MASA
+    re-designation).  Nearly every stale readiness entry in a scan
+    shares its terms with its neighbours."""
+    row = 4096  # 64B records per row, across every bank and rank
+    subarray = 512 * row
+    ops = []
+    for i in range(96):
+        ops.append(("load", i, 0))
+        if i % 8 == 3:
+            ops.append(("load", row + i, 0))
+        if i % 8 == 6:
+            ops.append(("load", subarray + i, 0))
+        if i % 12 == 5:
+            ops.append(("store", i, 0))
+    return FuzzCase(
+        seed=0, index=0, scheme=scheme, gather_factor=8, record_bytes=64,
+        n_records=subarray + 128, refresh=False, ops=tuple(ops),
+    )
+
+
+@pytest.mark.parametrize("scheme", ("baseline", "masa"))
+def test_same_row_queue_matches_reference(scheme):
+    """Shared readiness terms per scan stay exact when most queued
+    requests want the same row (salp="none" and MASA)."""
+    case = _same_row_case(scheme)
+    fast = _command_stream(case)
+    slow = _command_stream(case, reference=True)
+    assert fast == slow
+    assert len(fast[0]) > 100
 
 
 @pytest.mark.parametrize("scheme", ("salp1", "masa"))
