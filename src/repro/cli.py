@@ -34,9 +34,11 @@ commands accept ``--timeline`` to record every simulated point.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 
 def _add_size_args(parser: argparse.ArgumentParser) -> None:
@@ -54,8 +56,8 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
-    """Shared flags of every sweep-driven command (the figures and the
-    reliability matrix all execute through :class:`repro.exp.SweepEngine`)."""
+    """Shared flags of every sweep command (they all execute through
+    :class:`repro.exp.SweepEngine`)."""
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for sweep points "
                              "(results are identical at any N)")
@@ -77,26 +79,112 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
                              "--artifacts when set")
 
 
+def _count(args, flag: str) -> int:
+    """The value of a count flag, which must be at least 1."""
+    from .exp import UsageError
+
+    value = getattr(args, flag)
+    if value < 1:
+        raise UsageError(f"--{flag} must be at least 1, got {value}")
+    return value
+
+
+def _sizes(args) -> dict:
+    return {"n_ta": _count(args, "ta"), "n_tb": _count(args, "tb")}
+
+
+#: The flag groups a sweep command can take: name -> (add the flags to a
+#: parser, map parsed flags to keyword arguments of the harness).
+_FLAG_GROUPS = {
+    "size": (_add_size_args, _sizes),
+    # Figure 15 fixes its narrow table at 64 records: --tb is accepted
+    # and checked like everywhere else, but not passed on
+    "ta": (_add_size_args, lambda args: {"n_ta": _sizes(args)["n_ta"]}),
+    "designs": (
+        lambda p: p.add_argument(
+            "--designs", nargs="*", default=None,
+            help="designs to compare against the baseline (default: "
+                 "the sweep's standard set)"),
+        lambda args: {"designs": args.designs or None},
+    ),
+    "queries": (
+        lambda p: p.add_argument(
+            "--queries", nargs="*", default=None,
+            help="queries to sweep (default: the sweep's standard set)"),
+        lambda args: {"queries": args.queries or None},
+    ),
+    "gather": (
+        lambda p: p.add_argument(
+            "--gather", type=int, default=8,
+            help="gather factor for stride-capable designs"),
+        lambda args: {"gather_factor": args.gather},
+    ),
+    "panels": (
+        lambda p: p.add_argument(
+            "--panels", nargs="*", default=None,
+            help="panels a..i (default: all)"),
+        lambda args: {"panels": args.panels or None},
+    ),
+    "trials": (
+        lambda p: p.add_argument(
+            "--trials", type=int, default=500,
+            help="fault-injection trials per fault model"),
+        lambda args: {"trials": _count(args, "trials")},
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """One sweep command: its harness entry point (``module:function``
+    under :mod:`repro.harness`, imported on use; it takes ``engine=`` and
+    returns a result with ``payload()`` and ``render()``) and the flag
+    groups it takes, in option order."""
+
+    name: str
+    help: str
+    run: str
+    flags: Tuple[str, ...]
+
+
+#: Every sweep command.  Each also takes the output and engine flags.
+SWEEPS = (
+    _Sweep("figure12", "speedup over all queries",
+           "figure12:run_figure12", ("size", "designs", "queries")),
+    _Sweep("figure13", "power and energy efficiency",
+           "figure13:run_figure13", ("size", "designs")),
+    _Sweep("figure14a", "substrate swap",
+           "figure14:run_figure14a", ("size",)),
+    _Sweep("figure14b", "strided granularity sweep",
+           "figure14:run_figure14b", ("size",)),
+    _Sweep("figure15", "parametric query sweeps",
+           "figure15:run_figure15", ("ta", "panels")),
+    _Sweep("salp", "subarray-level-parallelism interaction sweep",
+           "salp:run_salp_sweep", ("size", "designs", "queries")),
+    _Sweep("kernels", "micro-kernel stride sweep (generated workloads)",
+           "kernels:run_kernel_sweep", ("designs", "gather")),
+    _Sweep("reliability", "fault-injection matrix",
+           "reliability:run_reliability", ("trials",)),
+)
+
+
 def _make_engine(args):
     """A :class:`SweepEngine` from the shared sweep flags."""
     from .exp import ResultCache, SweepEngine, default_cache_dir
 
     cache = None
-    if not getattr(args, "no_cache", False):
-        cache = ResultCache(
-            getattr(args, "cache_dir", None) or default_cache_dir()
-        )
-    return SweepEngine(jobs=getattr(args, "jobs", 1), cache=cache,
-                       check=getattr(args, "check", False),
-                       timeline=getattr(args, "timeline", False),
-                       timeline_dir=getattr(args, "artifacts", None))
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+    return SweepEngine(jobs=_count(args, "jobs"), cache=cache,
+                       check=args.check, timeline=args.timeline,
+                       timeline_dir=args.artifacts)
 
 
 def _finish_sweep(args, name: str, engine) -> None:
     """Engine epilogue: one-line summary on stderr, sweep manifest into
     the artifacts directory when one was requested."""
     print(engine.summary(), file=sys.stderr)
-    if getattr(args, "artifacts", None):
+    if args.artifacts:
         from .obs.artifacts import ArtifactWriter
 
         path = ArtifactWriter(args.artifacts).write_json(
@@ -110,66 +198,32 @@ def _emit(args, name: str, payload, text_fn) -> int:
     request.  ``text_fn`` is lazy so --json skips ASCII rendering."""
     from .obs.artifacts import ArtifactWriter, to_jsonable
 
-    if getattr(args, "artifacts", None):
+    if args.artifacts:
         path = ArtifactWriter(args.artifacts).write_json(
             f"{name}.json", payload
         )
         print(f"wrote {path}", file=sys.stderr)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(to_jsonable(payload), indent=2, sort_keys=True))
     else:
         print(text_fn())
     return 0
 
 
-def _cmd_figure12(args) -> int:
-    from .harness.figure12 import UnknownQueryError, run_figure12
-
+def _cmd_sweep(args) -> int:
+    """Run one sweep command: check its flags and build the harness
+    arguments, run the harness on one engine, print the result."""
+    sweep = args.sweep
+    kwargs = {}
+    for group in sweep.flags:
+        kwargs.update(_FLAG_GROUPS[group][1](args))
+    module, function = sweep.run.split(":")
+    run = getattr(importlib.import_module(f"repro.harness.{module}"),
+                  function)
     engine = _make_engine(args)
-    try:
-        result = run_figure12(
-            n_ta=args.ta, n_tb=args.tb,
-            designs=args.designs or None,
-            queries=args.queries or None,
-            engine=engine,
-        )
-    except UnknownQueryError as exc:
-        print(f"repro figure12: {exc}", file=sys.stderr)
-        return 2
-    code = _emit(args, "figure12", result.payload(), result.render)
-    _finish_sweep(args, "figure12", engine)
-    return code
-
-
-def _cmd_figure13(args) -> int:
-    from .harness.figure13 import run_figure13
-
-    engine = _make_engine(args)
-    designs = args.designs or ["baseline", "SAM-sub", "SAM-IO", "SAM-en"]
-    result = run_figure13(n_ta=args.ta, n_tb=args.tb, designs=designs,
-                          engine=engine)
-    code = _emit(args, "figure13", result.payload(), result.render)
-    _finish_sweep(args, "figure13", engine)
-    return code
-
-
-def _cmd_figure14a(args) -> int:
-    from .harness.figure14 import run_figure14a
-
-    engine = _make_engine(args)
-    result = run_figure14a(n_ta=args.ta, n_tb=args.tb, engine=engine)
-    code = _emit(args, "figure14a", result.payload(), result.render)
-    _finish_sweep(args, "figure14a", engine)
-    return code
-
-
-def _cmd_figure14b(args) -> int:
-    from .harness.figure14 import run_figure14b
-
-    engine = _make_engine(args)
-    result = run_figure14b(n_ta=args.ta, n_tb=args.tb, engine=engine)
-    code = _emit(args, "figure14b", result.payload(), result.render)
-    _finish_sweep(args, "figure14b", engine)
+    result = run(engine=engine, **kwargs)
+    code = _emit(args, sweep.name, result.payload(), result.render)
+    _finish_sweep(args, sweep.name, engine)
     return code
 
 
@@ -179,85 +233,11 @@ def _cmd_figure14c(args) -> int:
     return _emit(args, "figure14c", figure14c_payload(), render_figure14c)
 
 
-def _cmd_figure15(args) -> int:
-    from .harness.figure15 import run_figure15
-
-    known = set("abcdefghi")
-    selected = args.panels or sorted(known)
-    for key in selected:
-        if key not in known:
-            print(f"unknown panel {key!r} (have {sorted(known)})",
-                  file=sys.stderr)
-            return 2
-    engine = _make_engine(args)
-    panels = run_figure15(n_ta=args.ta, engine=engine)
-    payload = {
-        "kind": "figure15",
-        "panels": {key: panels[key].payload() for key in selected},
-    }
-
-    def text() -> str:
-        return "\n\n".join(panels[key].render() for key in selected)
-
-    code = _emit(args, "figure15", payload, text)
-    _finish_sweep(args, "figure15", engine)
-    return code
-
-
-def _cmd_salp(args) -> int:
-    from .harness.salp import run_salp_sweep
-
-    engine = _make_engine(args)
-    result = run_salp_sweep(
-        n_ta=args.ta, n_tb=args.tb,
-        designs=args.designs or None,
-        queries=args.queries or None,
-        engine=engine,
-    )
-    code = _emit(args, "salp", result.payload(), result.render)
-    _finish_sweep(args, "salp", engine)
-    return code
-
-
-def _cmd_kernels(args) -> int:
-    from .harness.kernels import run_kernel_sweep
-
-    engine = _make_engine(args)
-    result = run_kernel_sweep(
-        designs=args.designs or None,
-        gather_factor=args.gather,
-        engine=engine,
-    )
-    code = _emit(args, "kernels", result.payload(), result.render)
-    _finish_sweep(args, "kernels", engine)
-    return code
-
-
 def _cmd_table1(args) -> int:
     from .core.compare import comparison_matrix, render_table
 
     payload = {"kind": "table1", "matrix": comparison_matrix()}
     return _emit(args, "table1", payload, render_table)
-
-
-def _cmd_reliability(args) -> int:
-    from .harness.reliability import (
-        render_rows,
-        rows_payload,
-        run_reliability,
-    )
-
-    engine = _make_engine(args)
-    rows = run_reliability(trials=args.trials, engine=engine)
-    if args.json or args.artifacts:
-        code = _emit(args, "reliability", rows_payload(rows, args.trials),
-                     lambda: render_rows(rows))
-    else:
-        print(render_rows(rows))
-        code = 0
-    _finish_sweep(args, "reliability", engine)
-    return code
-
 
 def _explain_one(scheme_name, query, tables, gather_factor, as_json):
     from .imdb.planner import plan_for
@@ -270,7 +250,7 @@ def _explain_one(scheme_name, query, tables, gather_factor, as_json):
 
 
 def _cmd_explain(args) -> int:
-    from .core.registry import available_schemes
+    from .core.registry import available_schemes, takes_gather_factor
     from .workloads import make_tables
     from .imdb.sql import parse
 
@@ -281,9 +261,7 @@ def _cmd_explain(args) -> int:
     def gather_for(name):
         # stride-less designs reject an explicit gather factor; with
         # --all-schemes the flag only applies where it is meaningful
-        from .core.registry import _NO_STRIDE
-
-        if args.all_schemes and name in _NO_STRIDE:
+        if args.all_schemes and not takes_gather_factor(name):
             return None
         return args.gather
 
@@ -537,82 +515,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("figure12", help="speedup over all queries")
-    _add_size_args(p)
-    p.add_argument("--designs", nargs="*", default=None)
-    p.add_argument("--queries", nargs="*", default=None)
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_figure12)
-
-    p = sub.add_parser("figure13", help="power and energy efficiency")
-    _add_size_args(p)
-    p.add_argument("--designs", nargs="*", default=None)
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_figure13)
-
-    p = sub.add_parser("figure14a", help="substrate swap")
-    _add_size_args(p)
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_figure14a)
-
-    p = sub.add_parser("figure14b", help="strided granularity sweep")
-    _add_size_args(p)
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_figure14b)
+    for sweep in SWEEPS:
+        p = sub.add_parser(sweep.name, help=sweep.help)
+        for group in sweep.flags:
+            _FLAG_GROUPS[group][0](p)
+        _add_output_args(p)
+        _add_sweep_args(p)
+        p.set_defaults(func=_cmd_sweep, sweep=sweep)
 
     p = sub.add_parser("figure14c", help="area/storage overhead")
     _add_output_args(p)
     p.set_defaults(func=_cmd_figure14c)
 
-    p = sub.add_parser("figure15", help="parametric query sweeps")
-    _add_size_args(p)
-    p.add_argument("--panels", nargs="*", default=None,
-                   help="panels a..i (default: all)")
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_figure15)
-
-    p = sub.add_parser(
-        "salp",
-        help="subarray-level-parallelism interaction sweep",
-    )
-    _add_size_args(p)
-    p.add_argument("--designs", nargs="*", default=None,
-                   help="designs to sweep (default: the SALP family "
-                        "plus SAM-en and SAM-en+masa)")
-    p.add_argument("--queries", nargs="*", default=None,
-                   help="queries to sweep (default: the bank-conflict-"
-                        "heavy Q3/Q7/Q8)")
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_salp)
-
-    p = sub.add_parser(
-        "kernels",
-        help="micro-kernel stride sweep (generated workloads)",
-    )
-    p.add_argument("--designs", nargs="*", default=None,
-                   help="designs to sweep against baseline "
-                        "(default: SAM-en and masa)")
-    p.add_argument("--gather", type=int, default=8,
-                   help="gather factor for stride-capable designs")
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_kernels)
-
     p = sub.add_parser("table1", help="qualitative comparison matrix")
     _add_output_args(p)
     p.set_defaults(func=_cmd_table1)
-
-    p = sub.add_parser("reliability", help="fault-injection matrix")
-    p.add_argument("--trials", type=int, default=500)
-    _add_output_args(p)
-    _add_sweep_args(p)
-    p.set_defaults(func=_cmd_reliability)
 
     p = sub.add_parser("check", help="correctness tooling (repro.check)")
     check_sub = p.add_subparsers(dest="check_command", required=True)
@@ -745,9 +662,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    from .exp import UsageError
+
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

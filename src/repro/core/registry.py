@@ -64,6 +64,12 @@ def available_schemes() -> List[str]:
     return sorted(_FACTORIES)
 
 
+def takes_gather_factor(name: str) -> bool:
+    """Whether design ``name`` has strided-access hardware, i.e. whether
+    a sweep should hand it a gather factor."""
+    return name not in _NO_STRIDE
+
+
 def make_scheme(
     name: str,
     geometry: Optional[Geometry] = None,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bitmatrix import HAVE_NUMPY, pack_blocks, unpack_blocks
+from .bitmatrix import pack_blocks, unpack_blocks
 from .geometry import Geometry
 from .iobuffer import (
     BEATS,
@@ -71,9 +71,7 @@ def pack_default(data: bytes, n_chips: int) -> List[int]:
         raise ValueError(
             f"{n_chips} chips hold {n_chips * 4} bytes, got {len(data)}"
         )
-    if HAVE_NUMPY:
-        return pack_blocks(data, "default", n_chips)
-    return pack_default_scalar(data, n_chips)
+    return pack_blocks(data, "default", n_chips)
 
 
 def unpack_default_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
@@ -90,9 +88,7 @@ def unpack_default_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
 
 
 def unpack_default(blocks: Sequence[int], n_chips: int) -> bytes:
-    if HAVE_NUMPY:
-        return unpack_blocks(blocks, "default", n_chips)
-    return unpack_default_scalar(blocks, n_chips)
+    return unpack_blocks(blocks, "default", n_chips)
 
 
 def pack_transposed_scalar(data: bytes, n_chips: int) -> List[int]:
@@ -122,9 +118,7 @@ def pack_transposed(data: bytes, n_chips: int) -> List[int]:
         raise ValueError(
             f"{n_chips} chips hold {n_chips * 4} bytes, got {len(data)}"
         )
-    if HAVE_NUMPY:
-        return pack_blocks(data, "transposed", n_chips)
-    return pack_transposed_scalar(data, n_chips)
+    return pack_blocks(data, "transposed", n_chips)
 
 
 def unpack_transposed_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
@@ -141,9 +135,7 @@ def unpack_transposed_scalar(blocks: Sequence[int], n_chips: int) -> bytes:
 
 
 def unpack_transposed(blocks: Sequence[int], n_chips: int) -> bytes:
-    if HAVE_NUMPY:
-        return unpack_blocks(blocks, "transposed", n_chips)
-    return unpack_transposed_scalar(blocks, n_chips)
+    return unpack_blocks(blocks, "transposed", n_chips)
 
 
 # --------------------------------------------------------------------------

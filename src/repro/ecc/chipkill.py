@@ -25,12 +25,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
-from .rs import DecodeFailure, DecodeResult, ReedSolomon
+import numpy as np
 
-try:  # numpy is an accelerator, never a requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - the image ships numpy
-    np = None
+from .rs import DecodeFailure, DecodeResult, ReedSolomon
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,8 @@ class _RSCodecBase:
 
     def encode_many(self, datas: Sequence[bytes]) -> List[bytes]:
         """Batch :meth:`encode`: one vectorized RS pass over many words."""
-        if np is None or not datas:
-            return [self.encode(d) for d in datas]
+        if not datas:
+            return []
         for d in datas:
             if len(d) != self.data_chips:
                 raise ValueError(
@@ -114,8 +111,8 @@ class _RSCodecBase:
         self, datas: Sequence[bytes], paritys: Sequence[bytes]
     ) -> List[bool]:
         """Batch :meth:`check` over parallel data/parity sequences."""
-        if np is None or not datas:
-            return [self.check(d, p) for d, p in zip(datas, paritys)]
+        if not datas:
+            return []
         if len(datas) != len(paritys):
             raise ValueError("data and parity sequences differ in length")
         words = [
@@ -339,8 +336,8 @@ class ChipAlignedSSC:
     def encode_sectors(self, datas: Sequence[bytes]) -> List[bytes]:
         """Batch :meth:`encode_sector`: symbol extraction and RS encoding
         of many sectors in one vectorized pass."""
-        if np is None or not datas:
-            return [self.encode_sector(d) for d in datas]
+        if not datas:
+            return []
         for d in datas:
             if len(d) != 16:
                 raise ValueError("a sector is 16 bytes")
@@ -355,10 +352,8 @@ class ChipAlignedSSC:
         self, datas: Sequence[bytes], paritys: Sequence[bytes]
     ) -> List[bool]:
         """Batch :meth:`check_sector` over parallel sequences."""
-        if np is None or not datas:
-            return [
-                self.check_sector(d, p) for d, p in zip(datas, paritys)
-            ]
+        if not datas:
+            return []
         if len(datas) != len(paritys):
             raise ValueError("data and parity sequences differ in length")
         for d, p in zip(datas, paritys):

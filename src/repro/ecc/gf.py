@@ -11,10 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-try:  # numpy is an accelerator, never a requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - the image ships numpy
-    np = None
+import numpy as np
 
 #: Primitive polynomials (with the x^m term) for the field sizes we use.
 PRIMITIVE_POLYS = {
@@ -50,15 +47,12 @@ class GF:
             self.exp[i] = self.exp[i - (self.size - 1)]
         self._np_tables: Optional[tuple] = None
 
-    def np_tables(self) -> Optional[Tuple["np.ndarray", "np.ndarray"]]:
+    def np_tables(self) -> Tuple["np.ndarray", "np.ndarray"]:
         """``(log, exp)`` as numpy arrays for batch kernels.
 
         The exp table keeps the doubled length, so ``exp[log[a] + log[b]]``
-        needs no modulo (max index ``2*(size-2) < 2*size``).  Returns None
-        when numpy is unavailable; callers fall back to the scalar ops.
+        needs no modulo (max index ``2*(size-2) < 2*size``).
         """
-        if np is None:
-            return None
         if self._np_tables is None:
             log = np.asarray(self.log, dtype=np.int64)
             exp = np.asarray(self.exp, dtype=np.int64)

@@ -23,12 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .gf import GF, field
+import numpy as np
 
-try:  # numpy is an accelerator, never a requirement
-    import numpy as np
-except ImportError:  # pragma: no cover - the image ships numpy
-    np = None
+from .gf import GF, field
 
 
 class DecodeFailure(Exception):
@@ -114,9 +111,7 @@ class ReedSolomon:
     # ``syndromes`` above stay as the reference oracle.
 
     def _kernels(self):
-        """Lazy batch-kernel tables; None without numpy."""
-        if np is None:
-            return None
+        """Lazy batch-kernel tables."""
         if self._batch_tables is None:
             log, exp = self.gf.np_tables()
             # parity rows of the systematic generator matrix: parity(e_j)
@@ -149,14 +144,9 @@ class ReedSolomon:
         """Systematic encode of a whole ``(batch, k)`` array of symbols.
 
         Returns a ``(batch, n)`` int64 array (data columns first, parity
-        appended), bit-identical to row-wise :meth:`encode`.  Falls back
-        to a scalar loop (returning a list of codeword lists) when numpy
-        is unavailable.
+        appended), bit-identical to row-wise :meth:`encode`.
         """
-        kern = self._kernels()
-        if kern is None:
-            return [self.encode(list(row)) for row in data]
-        log, exp, pgen, pgen_log, _ = kern
+        log, exp, pgen, pgen_log, _ = self._kernels()
         arr = np.asarray(data, dtype=np.int64)
         self._check_symbols(arr, self.k, "data")
         term = exp[log[arr][:, :, None] + pgen_log[None, :, :]]
@@ -168,13 +158,9 @@ class ReedSolomon:
         """Syndromes of a whole ``(batch, n)`` array of codewords.
 
         Returns a ``(batch, n - k)`` int64 array matching row-wise
-        :meth:`syndromes`; a row of zeros means a valid codeword.  Falls
-        back to a scalar loop when numpy is unavailable.
+        :meth:`syndromes`; a row of zeros means a valid codeword.
         """
-        kern = self._kernels()
-        if kern is None:
-            return [self.syndromes(list(row)) for row in codewords]
-        log, exp, _, _, loc_log = kern
+        log, exp, _, _, loc_log = self._kernels()
         arr = np.asarray(codewords, dtype=np.int64)
         self._check_symbols(arr, self.n, "codeword")
         term = exp[log[arr][:, None, :] + loc_log[None, :, :]]

@@ -21,7 +21,10 @@ from .spec import (
     ExperimentSpec,
     SweepPoint,
     TableSpec,
+    UsageError,
+    baseline_grid,
     build_tables,
+    design_list,
     standard_tables,
 )
 
@@ -34,8 +37,11 @@ __all__ = [
     "SweepPoint",
     "SweepRun",
     "TableSpec",
+    "UsageError",
+    "baseline_grid",
     "build_tables",
     "default_cache_dir",
+    "design_list",
     "execute_point",
     "point_digest",
     "source_digest",

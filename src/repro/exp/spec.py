@@ -22,9 +22,11 @@ spec stays tiny and hashable.
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
+from ..core.registry import available_schemes, takes_gather_factor
 # table recipes live with the workload IR now; re-exported here because
 # they are part of the sweep-spec vocabulary (specs reference recipes)
 from ..workloads.tables import TableSpec, build_tables, standard_tables
@@ -39,9 +41,19 @@ __all__ = [
     "ExperimentSpec",
     "SweepPoint",
     "TableSpec",
+    "UsageError",
+    "baseline_grid",
     "build_tables",
+    "design_list",
     "standard_tables",
 ]
+
+
+class UsageError(ValueError):
+    """A sweep request that cannot be built: an unknown or repeated name,
+    or a count below one.  Raised before any simulation; the CLI reports
+    it as one stderr line and exit status 2."""
+
 
 #: sweep-point kinds with a registered executor (see repro.exp.engine)
 POINT_KINDS = ("query", "kernel", "reliability")
@@ -122,7 +134,10 @@ class ExperimentSpec:
     ``normalize`` documents how shapers turn raw results into figure
     numbers (e.g. ``"divide by baseline cycles per query"``); the engine
     itself never normalizes -- it only guarantees that results come back
-    keyed and ordered exactly like ``points``.
+    keyed and ordered exactly like ``points``.  ``meta`` carries the
+    lists the builder resolved (designs, queries, kernels) as
+    ``(name, tuple)`` pairs, so the shaper reads them instead of working
+    the defaults out again.
     """
 
     name: str
@@ -148,3 +163,49 @@ class ExperimentSpec:
             if p.key == key:
                 return p
         raise KeyError(key)
+
+
+def design_list(
+    designs: Optional[Sequence[str]], default: Sequence[str]
+) -> Tuple[str, ...]:
+    """The designs a sweep compares against the baseline: ``designs``
+    (``None`` means ``default``), each a registered scheme, none repeated.
+    ``baseline`` is not accepted -- every sweep runs it as the reference.
+    """
+    names = tuple(default if designs is None else designs)
+    known = [name for name in available_schemes() if name != "baseline"]
+    for i, name in enumerate(names):
+        if name == "baseline":
+            raise UsageError(
+                "design 'baseline' is the reference every sweep runs; "
+                "do not list it"
+            )
+        if name not in known:
+            close = difflib.get_close_matches(name, known)
+            hint = f"; did you mean {' or '.join(close)}?" if close else ""
+            raise UsageError(
+                f"unknown design {name!r}{hint} (known: {' '.join(known)})"
+            )
+        if name in names[:i]:
+            raise UsageError(f"design {name!r} is listed twice")
+    return names
+
+
+def baseline_grid(
+    designs: Sequence[str],
+    workloads: Sequence["Workload"],
+    gather_factor: Optional[int] = None,
+) -> Tuple[SweepPoint, ...]:
+    """Baseline plus every design, per workload: one point keyed
+    ``(series, workload.name)`` each, the baseline's first.  Designs with
+    stride hardware run at ``gather_factor``; the rest take none."""
+    return tuple(
+        SweepPoint(
+            key=(series, w.name), kind=w.kind, scheme=series, workload=w,
+            gather_factor=(
+                gather_factor if takes_gather_factor(series) else None
+            ),
+        )
+        for series in ("baseline",) + tuple(designs)
+        for w in workloads
+    )

@@ -1,58 +1,6 @@
-"""Experiment harness: regenerates every table and figure of the paper."""
+"""Experiment harness: regenerates every table and figure of the paper.
 
-from .figure12 import Figure12Result, run_figure12
-from .figure13 import Figure13Result, run_figure13
-from .figure14 import (
-    run_figure14a,
-    run_figure14b,
-    run_figure14c,
-    render_figure14c,
-)
-from .figure15 import (
-    FIG15_DESIGNS,
-    run_figure15,
-    run_projectivity_sweep,
-    run_record_size_sweep,
-    run_selectivity_sweep,
-)
-from .kernels import (
-    KERNEL_DESIGNS,
-    KernelSweepResult,
-    build_kernel_spec,
-    render_kernels,
-    run_kernel_sweep,
-)
-from .reliability import render_reliability, run_reliability
-from .report import bar_chart, grouped_bar_chart, sweep_chart
-
-# table helpers migrated into the workload IR; re-exported for callers
-# that still reach them through the harness namespace
-from ..workloads import geomean, make_tables
-
-__all__ = [
-    "Figure12Result",
-    "run_figure12",
-    "Figure13Result",
-    "run_figure13",
-    "run_figure14a",
-    "run_figure14b",
-    "run_figure14c",
-    "render_figure14c",
-    "FIG15_DESIGNS",
-    "run_figure15",
-    "run_projectivity_sweep",
-    "run_record_size_sweep",
-    "run_selectivity_sweep",
-    "KERNEL_DESIGNS",
-    "KernelSweepResult",
-    "build_kernel_spec",
-    "render_kernels",
-    "run_kernel_sweep",
-    "render_reliability",
-    "run_reliability",
-    "bar_chart",
-    "grouped_bar_chart",
-    "sweep_chart",
-    "geomean",
-    "make_tables",
-]
+One module per artefact; each sweep harness builds an
+:class:`~repro.exp.ExperimentSpec` and returns a result with
+``payload()`` and ``render()``.
+"""

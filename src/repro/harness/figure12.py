@@ -17,9 +17,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import FIGURE12_DESIGNS, _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..core.registry import FIGURE12_DESIGNS
+from ..exp import (
+    ExperimentSpec,
+    SweepEngine,
+    SweepPoint,
+    UsageError,
+    baseline_grid,
+    design_list,
+    standard_tables,
+)
 from ..imdb.queries import q_queries, qs_queries
+from ..imdb.query import Query
 from ..workloads import QueryWorkload, geomean
 
 
@@ -61,32 +70,6 @@ class Figure12Result:
             },
         }
 
-    def render_chart(self) -> str:
-        """Figure-12 shaped ASCII bars: Q/Qs geomeans per design."""
-        from .report import bar_chart
-
-        blocks = []
-        if self.q_names:
-            blocks.append("Gmean speedup, Q queries (column-friendly):")
-            blocks.append(
-                bar_chart(
-                    {d: self.q_gmean(d) for d in self.speedups},
-                    reference=1.0,
-                    fmt="{:.2f}x",
-                )
-            )
-        if self.qs_names:
-            blocks.append("")
-            blocks.append("Gmean speedup, Qs queries (row-friendly):")
-            blocks.append(
-                bar_chart(
-                    {d: self.qs_gmean(d) for d in self.speedups},
-                    reference=1.0,
-                    fmt="{:.2f}x",
-                )
-            )
-        return '\n'.join(blocks)
-
     def render(self) -> str:
         designs = list(self.speedups)
         lines = []
@@ -112,23 +95,25 @@ class Figure12Result:
         return "\n".join(lines)
 
 
-class UnknownQueryError(ValueError):
-    """A query selection names queries Figure 12 does not have."""
+class UnknownQueryError(UsageError):
+    """A query selection names queries the sweep does not have."""
 
 
-def _query_lists(queries: Optional[Sequence[str]]):
-    q_all, qs_all = q_queries(), qs_queries()
-    if queries is None:
-        return q_all, qs_all
-    known = [q.name for q in q_all + qs_all]
-    unknown = [name for name in queries if name not in known]
+def select_queries(
+    names: Optional[Sequence[str]], family: Sequence[Query]
+) -> List[Query]:
+    """The queries of ``family`` named in ``names`` (``None``: all of
+    them), in family order; a name outside the family is a usage error."""
+    if names is None:
+        return list(family)
+    known = [q.name for q in family]
+    unknown = [name for name in names if name not in known]
     if unknown:
         raise UnknownQueryError(
             f"unknown queries: {' '.join(unknown)} "
             f"(known: {' '.join(known)})"
         )
-    return ([q for q in q_all if q.name in queries],
-            [q for q in qs_all if q.name in queries])
+    return [q for q in family if q.name in names]
 
 
 def build_figure12_spec(
@@ -139,40 +124,35 @@ def build_figure12_spec(
     include_ideal: bool = True,
     gather_factor: int = 8,
 ) -> ExperimentSpec:
-    """Figure 12 as data: one point per (series, query)."""
-    q_list, qs_list = _query_lists(queries)
-    all_q = q_list + qs_list
-    designs = list(designs or FIGURE12_DESIGNS)
+    """Figure 12 as data: one point per (series, query).  ``meta`` names
+    the plotted series and the selected Q and Qs queries."""
+    q_all = q_queries()
+    selected = select_queries(queries, q_all + qs_queries())
+    designs = design_list(designs, FIGURE12_DESIGNS)
     tables = standard_tables(n_ta, n_tb)
-
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in all_q
-    ]
-    for design in designs:
-        # designs without stride hardware reject a gather factor
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, q.name), scheme=design,
-                       workload=QueryWorkload(query=q, tables=tables),
-                       gather_factor=gf)
-            for q in all_q
-        ]
+    workloads = [QueryWorkload(query=q, tables=tables) for q in selected]
+    points = baseline_grid(designs, workloads, gather_factor)
     if include_ideal:
         # the paper's "ideal": a plain row store for row-preferring
         # queries, a plain column store for column-preferring ones
-        points += [
+        points += tuple(
             SweepPoint(
-                key=("ideal", q.name),
-                scheme="baseline" if q.prefers == "row" else "column-store",
-                workload=QueryWorkload(query=q, tables=tables),
+                key=("ideal", w.name),
+                scheme=("baseline" if w.query.prefers == "row"
+                        else "column-store"),
+                workload=w,
             )
-            for q in all_q
-        ]
+            for w in workloads
+        )
     return ExperimentSpec(
-        "figure12", tuple(points),
+        "figure12", points,
         normalize="divide by baseline cycles per query",
+        meta=(
+            ("series", designs + (("ideal",) if include_ideal else ())),
+            ("q_names", tuple(q.name for q in selected if q in q_all)),
+            ("qs_names", tuple(q.name for q in selected
+                               if q not in q_all)),
+        ),
     )
 
 
@@ -191,28 +171,20 @@ def run_figure12(
     strided granularity.  ``engine`` chooses parallelism and caching; the
     default runs serially without a cache.
     """
-    engine = engine or SweepEngine()
-    q_list, qs_list = _query_lists(queries)
-    all_q = q_list + qs_list
-    design_list = list(designs or FIGURE12_DESIGNS)
-    run = engine.run(build_figure12_spec(
+    spec = build_figure12_spec(
         n_ta, n_tb, designs, queries, include_ideal, gather_factor
-    ))
-
-    baseline_cycles: Dict[str, int] = {
-        q.name: run.cycles(("baseline", q.name)) for q in all_q
-    }
-    series = design_list + (["ideal"] if include_ideal else [])
-    speedups: Dict[str, Dict[str, float]] = {
-        name: {
-            q.name: run.speedup((name, q.name), ("baseline", q.name))
-            for q in all_q
-        }
-        for name in series
-    }
+    )
+    run = (engine or SweepEngine()).run(spec)
+    meta = dict(spec.meta)
+    names = meta["q_names"] + meta["qs_names"]
     return Figure12Result(
-        speedups,
-        baseline_cycles,
-        [q.name for q in q_list],
-        [q.name for q in qs_list],
+        {
+            series: {
+                q: run.speedup((series, q), ("baseline", q)) for q in names
+            }
+            for series in meta["series"]
+        },
+        {q: run.cycles(("baseline", q)) for q in names},
+        list(meta["q_names"]),
+        list(meta["qs_names"]),
     )

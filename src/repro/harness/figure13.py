@@ -14,8 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from ..core.registry import FIGURE12_DESIGNS
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..exp import (
+    ExperimentSpec,
+    SweepEngine,
+    SweepPoint,
+    design_list,
+    standard_tables,
+)
 from ..workloads import QueryWorkload
 from ..imdb.queries import by_name
 
@@ -58,27 +63,33 @@ class Figure13Result:
         return "\n".join(lines)
 
 
+#: Designs compared against the baseline by default.
+FIGURE13_DESIGNS = ("SAM-sub", "SAM-IO", "SAM-en")
+
+
 def build_figure13_spec(
     n_ta: int = 1024,
     n_tb: int = 2048,
     designs: Optional[Sequence[str]] = None,
 ) -> ExperimentSpec:
-    """Figure 13 as data: one point per (design, query); the query
-    classes partition the benchmark, so (design, query) keys are unique."""
-    designs = list(designs or (("baseline",) + tuple(FIGURE12_DESIGNS)))
+    """Figure 13 as data: one point per (series, query), the baseline
+    first; the query classes partition the benchmark, so (series, query)
+    keys are unique.  ``meta`` names the series."""
+    series = ("baseline",) + design_list(designs, FIGURE13_DESIGNS)
     queries = by_name()
     tables = standard_tables(n_ta, n_tb)
     points = [
         SweepPoint(key=(design, qname), scheme=design,
                    workload=QueryWorkload(query=queries[qname],
                                           tables=tables))
-        for design in designs
+        for design in series
         for names in CLASSES.values()
         for qname in names
     ]
     return ExperimentSpec(
         "figure13", tuple(points),
         normalize="baseline class energy / design class energy",
+        meta=(("series", series),),
     )
 
 
@@ -88,17 +99,17 @@ def run_figure13(
     designs: Optional[Sequence[str]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Figure13Result:
-    """Regenerate Figure 13."""
-    engine = engine or SweepEngine()
-    designs = list(designs or (("baseline",) + tuple(FIGURE12_DESIGNS)))
-    run = engine.run(build_figure13_spec(n_ta, n_tb, designs))
+    """Regenerate Figure 13: the baseline plus ``designs``."""
+    spec = build_figure13_spec(n_ta, n_tb, designs)
+    run = (engine or SweepEngine()).run(spec)
+    series = dict(spec.meta)["series"]
     power: Dict[str, Dict[str, Dict[str, float]]] = {}
     eff: Dict[str, Dict[str, float]] = {}
-    # energy per class per design, for the efficiency ratios
-    energy: Dict[str, Dict[str, float]] = {c: {} for c in CLASSES}
     for cls, names in CLASSES.items():
         power[cls] = {}
-        for design in designs:
+        # energy per design over the class, for the efficiency ratios
+        energy: Dict[str, float] = {}
+        for design in series:
             totals = {"background": 0.0, "rdwr": 0.0, "act": 0.0,
                       "total": 0.0}
             cls_energy = 0.0
@@ -118,12 +129,8 @@ def run_figure13(
                 for key in totals:
                     totals[key] = totals[key] / elapsed * 1e3
             power[cls][design] = totals
-            energy[cls][design] = cls_energy
-    for cls in CLASSES:
-        base = energy[cls].get("baseline")
-        eff[cls] = {}
-        for design in designs:
-            eff[cls][design] = (
-                base / energy[cls][design] if base else float("nan")
-            )
+            energy[design] = cls_energy
+        eff[cls] = {
+            design: energy["baseline"] / energy[design] for design in series
+        }
     return Figure13Result(power, eff)

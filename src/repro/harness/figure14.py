@@ -16,6 +16,7 @@ from ..area.overhead import AreaReport, all_designs
 from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
 from ..imdb.queries import all_queries, q_queries
 from ..workloads import QueryWorkload, geomean
+from .figure12 import select_queries
 
 
 @dataclass
@@ -42,19 +43,21 @@ class Figure14aResult:
 #: Figure 14(a) substrates: display label -> timing preset to force.
 SUBSTRATES = (("DRAM", "DDR4-2400"), ("NVM", "RRAM"))
 
+#: The designs Figure 14(a) moves between substrates.
+FIGURE14A_DESIGNS = ("RC-NVM-wd", "SAM-sub", "SAM-IO", "SAM-en")
+
 
 def build_figure14a_spec(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Sequence[str] = ("RC-NVM-wd", "SAM-sub", "SAM-IO", "SAM-en"),
+    designs: Sequence[str] = FIGURE14A_DESIGNS,
     queries: Optional[Sequence[str]] = None,
 ) -> ExperimentSpec:
     """Figure 14(a) as data: baseline per query + every design on every
     substrate, timing forced via the scheme's immutable ``with_timing``
-    clone (no shared-instance monkeypatching)."""
-    q_list = [
-        q for q in all_queries() if queries is None or q.name in queries
-    ]
+    clone (no shared-instance monkeypatching).  ``meta`` names the
+    queries."""
+    q_list = select_queries(queries, all_queries())
     tables = standard_tables(n_ta, n_tb)
     points = [
         SweepPoint(key=("baseline", q.name), scheme="baseline",
@@ -72,29 +75,27 @@ def build_figure14a_spec(
     return ExperimentSpec(
         "figure14a", tuple(points),
         normalize="divide by baseline cycles per query, gmean per design",
+        meta=(("queries", tuple(q.name for q in q_list)),),
     )
 
 
 def run_figure14a(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Sequence[str] = ("RC-NVM-wd", "SAM-sub", "SAM-IO", "SAM-en"),
+    designs: Sequence[str] = FIGURE14A_DESIGNS,
     queries: Optional[Sequence[str]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Figure14aResult:
     """Figure 14(a): every design on both memory technologies."""
-    engine = engine or SweepEngine()
-    q_list = [
-        q for q in all_queries() if queries is None or q.name in queries
-    ]
-    run = engine.run(build_figure14a_spec(n_ta, n_tb, designs, queries))
+    spec = build_figure14a_spec(n_ta, n_tb, designs, queries)
+    run = (engine or SweepEngine()).run(spec)
+    names = dict(spec.meta)["queries"]
     out: Dict[str, Dict[str, float]] = {"DRAM": {}, "NVM": {}}
     for substrate, _ in SUBSTRATES:
         for design in designs:
             out[substrate][design] = geomean(
-                run.speedup((substrate, design, q.name),
-                            ("baseline", q.name))
-                for q in q_list
+                run.speedup((substrate, design, q), ("baseline", q))
+                for q in names
             )
     return Figure14aResult(out)
 
@@ -128,18 +129,19 @@ class Figure14bResult:
 #: granularity in bits-per-chip -> gather factor (elements per burst)
 GRANULARITY_TO_GATHER = {16: 2, 8: 4, 4: 8}
 
+#: The designs Figure 14(b) sweeps over strided granularity.
+FIGURE14B_DESIGNS = ("RC-NVM-wd", "GS-DRAM-ecc", "SAM-en")
+
 
 def build_figure14b_spec(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Sequence[str] = ("RC-NVM-wd", "GS-DRAM-ecc", "SAM-en"),
+    designs: Sequence[str] = FIGURE14B_DESIGNS,
     queries: Optional[Sequence[str]] = None,
 ) -> ExperimentSpec:
     """Figure 14(b) as data: baseline per query + every design at every
-    strided granularity."""
-    q_list = [
-        q for q in q_queries() if queries is None or q.name in queries
-    ]
+    strided granularity.  ``meta`` names the queries."""
+    q_list = select_queries(queries, q_queries())
     tables = standard_tables(n_ta, n_tb)
     points = [
         SweepPoint(key=("baseline", q.name), scheme="baseline",
@@ -157,30 +159,28 @@ def build_figure14b_spec(
     return ExperimentSpec(
         "figure14b", tuple(points),
         normalize="divide by baseline cycles per query, gmean per design",
+        meta=(("queries", tuple(q.name for q in q_list)),),
     )
 
 
 def run_figure14b(
     n_ta: int = 1024,
     n_tb: int = 2048,
-    designs: Sequence[str] = ("RC-NVM-wd", "GS-DRAM-ecc", "SAM-en"),
+    designs: Sequence[str] = FIGURE14B_DESIGNS,
     queries: Optional[Sequence[str]] = None,
     engine: Optional[SweepEngine] = None,
 ) -> Figure14bResult:
     """Figure 14(b): strided granularity sweep over Q queries."""
-    engine = engine or SweepEngine()
-    q_list = [
-        q for q in q_queries() if queries is None or q.name in queries
-    ]
-    run = engine.run(build_figure14b_spec(n_ta, n_tb, designs, queries))
+    spec = build_figure14b_spec(n_ta, n_tb, designs, queries)
+    run = (engine or SweepEngine()).run(spec)
+    names = dict(spec.meta)["queries"]
     out: Dict[int, Dict[str, float]] = {}
     for bits in GRANULARITY_TO_GATHER:
         out[bits] = {}
         for design in designs:
             out[bits][design] = geomean(
-                run.speedup((f"{bits}-bit", design, q.name),
-                            ("baseline", q.name))
-                for q in q_list
+                run.speedup((f"{bits}-bit", design, q), ("baseline", q))
+                for q in names
             )
     return Figure14bResult(out)
 

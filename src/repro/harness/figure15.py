@@ -18,13 +18,14 @@ figure sweeps in parallel and caches as a unit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..exp import (
     ExperimentSpec,
     SweepEngine,
     SweepPoint,
     TableSpec,
+    UsageError,
     standard_tables,
 )
 from ..imdb.queries import aggregate_query, arithmetic_query
@@ -48,9 +49,6 @@ class SweepResult:
     xlabel: str
     points: Dict[object, Dict[str, float]] = field(default_factory=dict)
 
-    def series(self, design: str) -> List[float]:
-        return [self.points[x][design] for x in self.points]
-
     def payload(self) -> Dict[str, object]:
         """Machine-readable form (``--json`` / artifact export)."""
         return {
@@ -73,28 +71,32 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _axis_points(
-    query, x: str, tables, designs: Sequence[str]
-) -> List[SweepPoint]:
-    """The points of one x-axis value: baseline, every design, and the
-    column store (which, with the baseline, defines "ideal")."""
-    workload = QueryWorkload(query=query, tables=tables)
-    points = [
-        SweepPoint(key=("baseline", x), scheme="baseline",
-                   workload=workload),
-        SweepPoint(key=("column-store", x), scheme="column-store",
-                   workload=workload),
-    ]
-    points += [
-        SweepPoint(key=(design, x), scheme=design, workload=workload)
-        for design in designs
-    ]
-    return points
-
-
-def _shape_panel(run, panel: SweepResult, xs: Sequence[object],
-                 designs: Sequence[str]) -> SweepResult:
-    """Speedups vs baseline; ideal = best of row store and column store."""
+def _run_axis(
+    name: str,
+    axis: str,
+    panel: SweepResult,
+    xs: Sequence[object],
+    make_query: Callable[[object], object],
+    n_ta: int,
+    designs: Sequence[str],
+    engine: Optional[SweepEngine],
+) -> SweepResult:
+    """One query-axis panel: at every x, the baseline, the column store
+    and every design run ``make_query(x)`` on the same tables.  Speedups
+    are over the baseline; ideal is the better of row and column store."""
+    tables = standard_tables(n_ta, 64)
+    points: List[SweepPoint] = []
+    for x in xs:
+        workload = QueryWorkload(query=make_query(x), tables=tables)
+        points += [
+            SweepPoint(key=(series, str(x)), scheme=series,
+                       workload=workload)
+            for series in ("baseline", "column-store", *designs)
+        ]
+    run = (engine or SweepEngine()).run(ExperimentSpec(
+        name, tuple(points),
+        normalize=f"divide by baseline cycles per {axis}",
+    ))
     for x in xs:
         base = run.cycles(("baseline", str(x)))
         per: Dict[str, float] = {
@@ -107,27 +109,6 @@ def _shape_panel(run, panel: SweepResult, xs: Sequence[object],
     return panel
 
 
-def build_selectivity_spec(
-    projected: int,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    selectivities: Sequence[float] = SELECTIVITIES,
-    aggregate: bool = False,
-) -> ExperimentSpec:
-    """Panels (a)-(c)/(g) as data: vary selectivity at fixed projectivity."""
-    maker = aggregate_query if aggregate else arithmetic_query
-    kind = "aggregate" if aggregate else "arithmetic"
-    tables = standard_tables(n_ta, 64)
-    points: List[SweepPoint] = []
-    for sel in selectivities:
-        points += _axis_points(maker(projected, sel), str(sel), tables,
-                               designs)
-    return ExperimentSpec(
-        f"figure15-sel-{kind}-p{projected}", tuple(points),
-        normalize="divide by baseline cycles per selectivity",
-    )
-
-
 def run_selectivity_sweep(
     projected: int,
     n_ta: int = 1024,
@@ -137,35 +118,13 @@ def run_selectivity_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> SweepResult:
     """Panels (a)-(c) and (g): vary selectivity at fixed projectivity."""
-    engine = engine or SweepEngine()
-    run = engine.run(build_selectivity_spec(
-        projected, n_ta, designs, selectivities, aggregate
-    ))
-    kind = "aggregate" if aggregate else "arithmetic"
-    panel = SweepResult(
-        f"{kind}, {projected} fields projected", "selectivity"
-    )
-    return _shape_panel(run, panel, selectivities, designs)
-
-
-def build_projectivity_spec(
-    selectivity: float,
-    n_ta: int = 1024,
-    designs: Sequence[str] = FIG15_DESIGNS,
-    projectivities: Sequence[int] = PROJECTIVITIES,
-    aggregate: bool = False,
-) -> ExperimentSpec:
-    """Panels (d)-(f)/(h) as data: vary projectivity at fixed selectivity."""
     maker = aggregate_query if aggregate else arithmetic_query
     kind = "aggregate" if aggregate else "arithmetic"
-    tables = standard_tables(n_ta, 64)
-    points: List[SweepPoint] = []
-    for proj in projectivities:
-        points += _axis_points(maker(proj, selectivity), str(proj), tables,
-                               designs)
-    return ExperimentSpec(
-        f"figure15-proj-{kind}-s{selectivity:g}", tuple(points),
-        normalize="divide by baseline cycles per projectivity",
+    return _run_axis(
+        f"figure15-sel-{kind}-p{projected}", "selectivity",
+        SweepResult(f"{kind}, {projected} fields projected", "selectivity"),
+        selectivities, lambda sel: maker(projected, sel), n_ta, designs,
+        engine,
     )
 
 
@@ -178,15 +137,15 @@ def run_projectivity_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> SweepResult:
     """Panels (d)-(f) and (h): vary projectivity at fixed selectivity."""
-    engine = engine or SweepEngine()
-    run = engine.run(build_projectivity_spec(
-        selectivity, n_ta, designs, projectivities, aggregate
-    ))
+    maker = aggregate_query if aggregate else arithmetic_query
     kind = "aggregate" if aggregate else "arithmetic"
-    panel = SweepResult(
-        f"{kind}, {selectivity:.0%} records selected", "fields projected"
+    return _run_axis(
+        f"figure15-proj-{kind}-s{selectivity:g}", "projectivity",
+        SweepResult(f"{kind}, {selectivity:.0%} records selected",
+                    "fields projected"),
+        projectivities, lambda proj: maker(proj, selectivity), n_ta,
+        designs, engine,
     )
-    return _shape_panel(run, panel, projectivities, designs)
 
 
 def build_record_size_spec(
@@ -257,25 +216,57 @@ def run_record_size_sweep(
     return panel
 
 
+@dataclass
+class Figure15Result:
+    """The selected panels, keyed ``a``..``i`` in selection order."""
+
+    panels: Dict[str, SweepResult]
+
+    def payload(self) -> Dict[str, object]:
+        """Machine-readable form (``--json`` / artifact export)."""
+        return {
+            "kind": "figure15",
+            "panels": {
+                key: panel.payload() for key, panel in self.panels.items()
+            },
+        }
+
+    def render(self) -> str:
+        return "\n\n".join(panel.render() for panel in self.panels.values())
+
+
 def run_figure15(
     n_ta: int = 512,
     designs: Sequence[str] = FIG15_DESIGNS,
     engine: Optional[SweepEngine] = None,
-) -> Dict[str, SweepResult]:
-    """All nine panels (reduced sweep density by default -- each point is
-    a full simulation of four designs).  One engine runs them all, so a
-    single ``--jobs``/cache setting covers the whole figure."""
+    panels: Optional[Sequence[str]] = None,
+) -> Figure15Result:
+    """The ``panels`` of Figure 15 (``None``: all nine, at a reduced sweep
+    density -- each point is a full simulation of four designs).  Only the
+    selected panels are built and simulated.  One engine runs them all,
+    so a single ``--jobs``/cache setting covers the whole figure."""
     engine = engine or SweepEngine()
-    return {
-        "a": run_selectivity_sweep(8, n_ta, designs, engine=engine),
-        "b": run_selectivity_sweep(64, n_ta, designs, engine=engine),
-        "c": run_selectivity_sweep(128, n_ta, designs, engine=engine),
-        "d": run_projectivity_sweep(0.10, n_ta, designs, engine=engine),
-        "e": run_projectivity_sweep(0.50, n_ta, designs, engine=engine),
-        "f": run_projectivity_sweep(1.00, n_ta, designs, engine=engine),
-        "g": run_selectivity_sweep(8, n_ta, designs, aggregate=True,
-                                   engine=engine),
-        "h": run_projectivity_sweep(1.00, n_ta, designs, aggregate=True,
-                                    engine=engine),
-        "i": run_record_size_sweep(designs=designs, engine=engine),
+    runners = {
+        "a": lambda: run_selectivity_sweep(8, n_ta, designs, engine=engine),
+        "b": lambda: run_selectivity_sweep(64, n_ta, designs, engine=engine),
+        "c": lambda: run_selectivity_sweep(128, n_ta, designs,
+                                           engine=engine),
+        "d": lambda: run_projectivity_sweep(0.10, n_ta, designs,
+                                            engine=engine),
+        "e": lambda: run_projectivity_sweep(0.50, n_ta, designs,
+                                            engine=engine),
+        "f": lambda: run_projectivity_sweep(1.00, n_ta, designs,
+                                            engine=engine),
+        "g": lambda: run_selectivity_sweep(8, n_ta, designs, aggregate=True,
+                                           engine=engine),
+        "h": lambda: run_projectivity_sweep(1.00, n_ta, designs,
+                                            aggregate=True, engine=engine),
+        "i": lambda: run_record_size_sweep(designs=designs, engine=engine),
     }
+    keys = list(dict.fromkeys(runners if panels is None else panels))
+    for key in keys:
+        if key not in runners:
+            raise UsageError(
+                f"unknown panel {key!r} (have {sorted(runners)})"
+            )
+    return Figure15Result({key: runners[key]() for key in keys})

@@ -32,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint
+from ..exp import ExperimentSpec, SweepEngine, baseline_grid, design_list
 from ..workloads import KernelWorkload
 
 #: Designs swept against the row-store baseline.
@@ -117,25 +116,15 @@ def build_kernel_spec(
     designs: Optional[Sequence[str]] = None,
     gather_factor: int = 8,
 ) -> ExperimentSpec:
-    """The sweep as data: baseline plus every design, per kernel."""
-    design_list = list(designs or KERNEL_DESIGNS)
+    """The sweep as data: baseline plus every design, per kernel.
+    ``meta`` names the designs and the kernels."""
+    designs = design_list(designs, KERNEL_DESIGNS)
     grid = kernel_grid()
-    points = [
-        SweepPoint(key=("baseline", w.name), kind="kernel",
-                   scheme="baseline", workload=w)
-        for w in grid
-    ]
-    for design in design_list:
-        # designs without stride hardware reject a gather factor
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, w.name), kind="kernel", scheme=design,
-                       workload=w, gather_factor=gf)
-            for w in grid
-        ]
     return ExperimentSpec(
-        "kernels", tuple(points),
+        "kernels", baseline_grid(designs, grid, gather_factor),
         normalize="divide by baseline cycles per kernel",
+        meta=(("designs", designs),
+              ("kernels", tuple(w.name for w in grid))),
     )
 
 
@@ -145,12 +134,13 @@ def run_kernel_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> KernelSweepResult:
     """Run the micro-kernel sweep and shape the per-kernel speedups."""
-    engine = engine or SweepEngine()
-    design_list = list(designs or KERNEL_DESIGNS)
-    kernel_names = [w.name for w in kernel_grid()]
-    run = engine.run(build_kernel_spec(design_list, gather_factor))
+    spec = build_kernel_spec(designs, gather_factor)
+    run = (engine or SweepEngine()).run(spec)
+    meta = dict(spec.meta)
+    design_names = list(meta["designs"])
+    kernel_names = list(meta["kernels"])
 
-    series = ["baseline"] + design_list
+    series = ["baseline"] + design_names
     cycles = {
         d: {k: run.cycles((d, k)) for k in kernel_names} for d in series
     }
@@ -158,7 +148,7 @@ def run_kernel_sweep(
         d: {
             k: run.speedup((d, k), ("baseline", k)) for k in kernel_names
         }
-        for d in design_list
+        for d in design_names
     }
     gathers = {
         d: {
@@ -169,9 +159,5 @@ def run_kernel_sweep(
         for d in series
     }
     return KernelSweepResult(
-        design_list, kernel_names, cycles, speedups, gathers
+        design_names, kernel_names, cycles, speedups, gathers
     )
-
-
-def render_kernels(result: KernelSweepResult) -> str:
-    return result.render()

@@ -12,7 +12,7 @@ Two complementary analyses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence
 
 from ..core.registry import make_scheme
@@ -49,29 +49,23 @@ def evaluate_design(design: str, trials: int = 500,
     else:
         intact = sam_gather_check().complete
 
-    if intact:
-        codec = SSCCodec()
-        chip = run_campaign(codec, FAULT_MODELS["chip"], trials, seed)
-        dq = run_campaign(codec, FAULT_MODELS["dq"], trials, seed + 1)
-        dsd = SSCDSDCodec()
-        double = run_campaign(dsd, FAULT_MODELS["double_chip"], trials,
-                              seed + 2)
-        return ReliabilityRow(
-            design,
-            True,
-            chip.protected_rate,
-            dq.protected_rate,
-            double.protected_rate,
-        )
-    chip = unprotected_tally(FAULT_MODELS["chip"], trials, seed)
-    dq = unprotected_tally(FAULT_MODELS["dq"], trials, seed + 1)
-    double = unprotected_tally(FAULT_MODELS["double_chip"], trials, seed + 2)
+    def rate(model: str, codec, offset: int) -> float:
+        """Protected fraction of one campaign; broken codewords have no
+        decoder to run."""
+        if intact:
+            tally = run_campaign(codec, FAULT_MODELS[model], trials,
+                                 seed + offset)
+        else:
+            tally = unprotected_tally(FAULT_MODELS[model], trials,
+                                      seed + offset)
+        return tally.protected_rate
+
     return ReliabilityRow(
         design,
-        False,
-        chip.protected_rate,
-        dq.protected_rate,
-        double.protected_rate,
+        intact,
+        rate("chip", SSCCodec(), 0),
+        rate("dq", SSCCodec(), 1),
+        rate("double_chip", SSCDSDCodec(), 2),
     )
 
 
@@ -105,49 +99,41 @@ def build_reliability_spec(
     )
 
 
+@dataclass
+class ReliabilityResult:
+    """The reliability matrix: one row per design, in display order."""
+
+    trials: int
+    rows: Dict[str, ReliabilityRow]
+
+    def payload(self) -> Dict[str, object]:
+        """Machine-readable form (``--json`` / artifact export)."""
+        return {
+            "kind": "reliability",
+            "trials": self.trials,
+            "designs": {name: asdict(row) for name, row in self.rows.items()},
+        }
+
+    def render(self) -> str:
+        lines = [
+            "design        codewords-intact  chip-fault  dq-fault  double-chip"
+        ]
+        for row in self.rows.values():
+            lines.append(
+                f"{row.design:13s} {str(row.strided_codewords_intact):>14}"
+                f"  {row.chip_fault_protection:9.1%}"
+                f" {row.dq_fault_protection:9.1%}"
+                f" {row.double_chip_protection:11.1%}"
+            )
+        return "\n".join(lines)
+
+
 def run_reliability(
     trials: int = 500,
     engine: Optional[SweepEngine] = None,
-) -> Dict[str, ReliabilityRow]:
-    engine = engine or SweepEngine()
-    run = engine.run(build_reliability_spec(trials))
-    return {d: run[("reliability", d)] for d in RELIABILITY_DESIGNS}
-
-
-def rows_payload(rows: Dict[str, ReliabilityRow],
-                 trials: int) -> Dict[str, object]:
-    """Machine-readable reliability matrix (``--json`` / artifacts)."""
-    from dataclasses import asdict
-
-    return {
-        "kind": "reliability",
-        "trials": trials,
-        "designs": {name: asdict(row) for name, row in rows.items()},
-    }
-
-
-def reliability_payload(
-    trials: int = 500,
-    engine: Optional[SweepEngine] = None,
-) -> Dict[str, object]:
-    return rows_payload(run_reliability(trials, engine=engine), trials)
-
-
-def render_rows(rows: Dict[str, ReliabilityRow]) -> str:
-    lines = [
-        "design        codewords-intact  chip-fault  dq-fault  double-chip"
-    ]
-    for row in rows.values():
-        lines.append(
-            f"{row.design:13s} {str(row.strided_codewords_intact):>14}"
-            f"  {row.chip_fault_protection:9.1%} {row.dq_fault_protection:9.1%}"
-            f" {row.double_chip_protection:11.1%}"
-        )
-    return "\n".join(lines)
-
-
-def render_reliability(
-    trials: int = 500,
-    engine: Optional[SweepEngine] = None,
-) -> str:
-    return render_rows(run_reliability(trials, engine=engine))
+) -> ReliabilityResult:
+    spec = build_reliability_spec(trials)
+    run = (engine or SweepEngine()).run(spec)
+    return ReliabilityResult(
+        trials, {p.scheme: run[p.key] for p in spec.points}
+    )

@@ -22,10 +22,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..core.registry import SALP_DESIGNS, _NO_STRIDE
-from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
+from ..core.registry import SALP_DESIGNS
+from ..exp import (
+    ExperimentSpec,
+    SweepEngine,
+    baseline_grid,
+    design_list,
+    standard_tables,
+)
 from ..workloads import QueryWorkload
 from ..imdb.queries import q_queries
+from .figure12 import select_queries
 
 #: Bank-conflict-heavy queries: the two joins plus a wide aggregate.
 SALP_QUERIES = ("Q3", "Q7", "Q8")
@@ -114,29 +121,23 @@ def build_salp_spec(
     queries: Optional[Sequence[str]] = None,
     gather_factor: int = 8,
 ) -> ExperimentSpec:
-    """The sweep as data: baseline plus every design, per query."""
-    design_list = list(designs or SALP_DESIGNS)
-    q_list = [
-        q for q in q_queries()
-        if q.name in (queries or SALP_QUERIES)
-    ]
+    """The sweep as data: baseline plus every design, per query.
+    ``meta`` names the designs and the queries."""
+    designs = design_list(designs, SALP_DESIGNS)
+    q_list = select_queries(
+        SALP_QUERIES if queries is None else queries, q_queries()
+    )
     tables = standard_tables(n_ta, n_tb)
-    points = [
-        SweepPoint(key=("baseline", q.name), scheme="baseline",
-                   workload=QueryWorkload(query=q, tables=tables))
-        for q in q_list
-    ]
-    for design in designs or SALP_DESIGNS:
-        gf = gather_factor if design not in _NO_STRIDE else None
-        points += [
-            SweepPoint(key=(design, q.name), scheme=design,
-                       workload=QueryWorkload(query=q, tables=tables),
-                       gather_factor=gf)
-            for q in q_list
-        ]
     return ExperimentSpec(
-        "salp", tuple(points),
+        "salp",
+        baseline_grid(
+            designs,
+            [QueryWorkload(query=q, tables=tables) for q in q_list],
+            gather_factor,
+        ),
         normalize="divide by baseline cycles per query",
+        meta=(("designs", designs),
+              ("queries", tuple(q.name for q in q_list))),
     )
 
 
@@ -149,17 +150,13 @@ def run_salp_sweep(
     engine: Optional[SweepEngine] = None,
 ) -> SALPSweepResult:
     """Run the SALP interaction sweep and shape the stall accounting."""
-    engine = engine or SweepEngine()
-    design_list = list(designs or SALP_DESIGNS)
-    query_names = [
-        q.name for q in q_queries()
-        if q.name in (queries or SALP_QUERIES)
-    ]
-    run = engine.run(build_salp_spec(
-        n_ta, n_tb, designs, queries, gather_factor
-    ))
+    spec = build_salp_spec(n_ta, n_tb, designs, queries, gather_factor)
+    run = (engine or SweepEngine()).run(spec)
+    meta = dict(spec.meta)
+    design_names = list(meta["designs"])
+    query_names = list(meta["queries"])
 
-    series = ["baseline"] + design_list
+    series = ["baseline"] + design_names
     cycles: Dict[str, Dict[str, int]] = {
         d: {q: run.cycles((d, q)) for q in query_names} for d in series
     }
@@ -167,7 +164,7 @@ def run_salp_sweep(
         d: {
             q: run.speedup((d, q), ("baseline", q)) for q in query_names
         }
-        for d in design_list
+        for d in design_names
     }
     stalls: Dict[str, Dict[str, Dict[str, int]]] = {}
     sa_sels: Dict[str, Dict[str, int]] = {}
@@ -180,5 +177,5 @@ def run_salp_sweep(
             stalls[d][q] = {k: int(v) for k, v in sorted(merged.items())}
             sa_sels[d][q] = int(getattr(result.memory_stats, "sa_sels", 0))
     return SALPSweepResult(
-        design_list, query_names, cycles, speedups, stalls, sa_sels
+        design_names, query_names, cycles, speedups, stalls, sa_sels
     )

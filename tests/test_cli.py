@@ -1,10 +1,99 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import SWEEPS, build_parser, main
+
+_SIZE = [("--ta", 512), ("--tb", 1024)]
+_OUTPUT = [("--json", False), ("--artifacts", None)]
+_ENGINE = [("--jobs", 1), ("--cache-dir", None), ("--no-cache", False),
+           ("--check", False), ("--timeline", False)]
+
+#: every subcommand's (option, default) pairs, in parser order: the
+#: table that generates the sweep commands must reproduce them exactly
+PARSER_SURFACE = {
+    "figure12": _SIZE + [("--designs", None), ("--queries", None)]
+    + _OUTPUT + _ENGINE,
+    "figure13": _SIZE + [("--designs", None)] + _OUTPUT + _ENGINE,
+    "figure14a": _SIZE + _OUTPUT + _ENGINE,
+    "figure14b": _SIZE + _OUTPUT + _ENGINE,
+    "figure14c": _OUTPUT,
+    "figure15": _SIZE + [("--panels", None)] + _OUTPUT + _ENGINE,
+    "salp": _SIZE + [("--designs", None), ("--queries", None)]
+    + _OUTPUT + _ENGINE,
+    "kernels": [("--designs", None), ("--gather", 8)] + _OUTPUT + _ENGINE,
+    "table1": _OUTPUT,
+    "reliability": [("--trials", 500)] + _OUTPUT + _ENGINE,
+    "check": [],
+    "check fuzz": [("--seed", 0), ("--cases", 200), ("--schemes", None),
+                   ("--inject", None), ("--artifacts", None),
+                   ("--json", False)],
+    "check replay": [("artifact", None), ("--json", False)],
+    "query": [("sql", None), ("--scheme", "SAM-en"), ("--gather", None),
+              ("--baseline", False), ("--stats", False),
+              ("--profile", False), ("--trace", False), ("--check", False),
+              ("--explain", False), ("--stalls", False),
+              ("--timeline", False)] + _SIZE + _OUTPUT,
+    "trace": [],
+    "trace report": [("sql", None), ("--scheme", "SAM-en"),
+                     ("--gather", None)] + _SIZE + [("--artifacts", None)],
+    "bench": [("--label", "local"), ("--out", "."), ("--repeats", 2),
+              ("--compare", None), ("--threshold", 2.0),
+              ("--strict-cycles", False), ("--profile", False),
+              ("--profile-top", 30)] + _SIZE + [("--json", False)],
+    "explain": [("sql", None), ("--scheme", "SAM-en"),
+                ("--all-schemes", False), ("--gather", None)] + _SIZE
+    + [("--json", False)],
+    "schemes": [("--json", False)],
+}
+
+
+def _parser_surface(parser, prefix=""):
+    """{subcommand: [(option, default), ...]} over nested subparsers."""
+    out = {}
+    for action in parser._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for name, sub in action.choices.items():
+            out[prefix + name] = [
+                ("/".join(a.option_strings) or a.dest, a.default)
+                for a in sub._actions
+                if not isinstance(a, (argparse._SubParsersAction,
+                                      argparse._HelpAction))
+            ]
+            out.update(_parser_surface(sub, prefix + name + " "))
+    return out
+
+
+def _usage_cases():
+    """(command, argv) for every sweep command x every bad-input class
+    among the flags it takes (every sweep takes --jobs)."""
+    by_group = {
+        "size": [["--ta", "0"], ["--tb", "0"]],
+        "ta": [["--ta", "0"], ["--tb", "-3"]],
+        "designs": [["--designs", "bogus"], ["--designs", "SAM_en"],
+                    ["--designs", "baseline"],
+                    ["--designs", "SAM-en", "SAM-en"]],
+        "queries": [["--queries", "Q99"], ["--queries", "Q3", "Qx"]],
+        "panels": [["--panels", "z"], ["--panels", "a", "ab"]],
+        "trials": [["--trials", "0"]],
+        "gather": [],
+    }
+    out = []
+    for sweep in SWEEPS:
+        bad = [["--jobs", "0"]]
+        for group in sweep.flags:
+            bad += by_group[group]
+        if sweep.name == "salp":
+            bad.append(["--queries", "Qs1"])  # outside the Q family
+        out += [(sweep.name, argv) for argv in bad]
+    return out
+
+
+USAGE_CASES = _usage_cases()
 
 
 class TestParser:
@@ -21,6 +110,32 @@ class TestParser:
     def test_query_defaults(self):
         args = build_parser().parse_args(["query", "SELECT f1 FROM Ta"])
         assert args.scheme == "SAM-en" and not args.baseline
+
+    def test_surface_unchanged(self):
+        """Every subcommand keeps its option strings, order and defaults
+        now that the sweep commands are generated from one table."""
+        assert _parser_surface(build_parser()) == PARSER_SURFACE
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "command,argv", USAGE_CASES,
+        ids=[f"{c}:{' '.join(a)}" for c, a in USAGE_CASES],
+    )
+    def test_bad_input_exits_2(self, capsys, command, argv):
+        """Bad input is one stderr line and exit 2 -- no table, no
+        traceback, no simulation."""
+        code = main([command, "--no-cache", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"repro {command}: ")
+
+    def test_unknown_design_suggests_close_names(self, capsys):
+        assert main(["kernels", "--designs", "SAM_en"]) == 2
+        assert "did you mean SAM-en" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -68,6 +183,16 @@ class TestCommands:
     def test_figure15_unknown_panel(self, capsys):
         code = main(["figure15", "--ta", "64", "--panels", "z"])
         assert code == 2
+
+    def test_figure15_runs_only_selected_panels(self, tmp_path, capsys):
+        """``--panels a`` simulates panel a's 25 points (5 selectivities x
+        baseline, column store and 3 designs), not the whole figure."""
+        code = main(["figure15", "--ta", "32", "--panels", "a",
+                     "--no-cache", "--json", "--artifacts", str(tmp_path)])
+        assert code == 0
+        assert list(json.loads(capsys.readouterr().out)["panels"]) == ["a"]
+        manifest = json.loads((tmp_path / "figure15.sweep.json").read_text())
+        assert manifest["totals"]["executed"] == 25
 
     @pytest.mark.parametrize("queries", (["Q99"], ["Q3", "Q99", "Qs0"]))
     def test_figure12_unknown_query(self, capsys, queries):

@@ -7,14 +7,17 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.registry import make_scheme
+from repro.core.registry import FIGURE12_DESIGNS, make_scheme
 from repro.exp import (
     ExperimentSpec,
     ResultCache,
     SweepEngine,
     SweepPoint,
     TableSpec,
+    UsageError,
+    baseline_grid,
     build_tables,
+    design_list,
     point_digest,
     standard_tables,
 )
@@ -91,6 +94,43 @@ class TestSweepSpec:
         spec = _tiny_spec()
         clone = pickle.loads(pickle.dumps(spec.points[1]))
         assert clone == spec.points[1]
+
+
+class TestDesignList:
+    def test_default_and_explicit(self):
+        assert design_list(None, FIGURE12_DESIGNS) == FIGURE12_DESIGNS
+        assert design_list(["masa", "SAM-en"], ()) == ("masa", "SAM-en")
+        assert design_list([], FIGURE12_DESIGNS) == ()
+
+    def test_unknown_name_suggests_close_matches(self):
+        with pytest.raises(UsageError, match="did you mean SAM-en"):
+            design_list(["SAM-EN"], ())
+
+    @pytest.mark.parametrize("designs", (["baseline"],
+                                         ["SAM-en", "masa", "SAM-en"]))
+    def test_baseline_and_repeats_rejected(self, designs):
+        with pytest.raises(UsageError):
+            design_list(designs, ())
+
+    def test_usage_error_is_a_value_error(self):
+        assert issubclass(UsageError, ValueError)
+
+
+class TestBaselineGrid:
+    def test_baseline_first_then_each_design_per_workload(self):
+        q3, q7 = by_name()["Q3"], by_name()["Q7"]
+        tables = standard_tables(16, 16)
+        workloads = [QueryWorkload(query=q, tables=tables)
+                     for q in (q3, q7)]
+        points = baseline_grid(("SAM-en", "masa"), workloads, 4)
+        assert [p.key for p in points] == [
+            (s, q) for s in ("baseline", "SAM-en", "masa")
+            for q in ("Q3", "Q7")
+        ]
+        # only stride hardware takes the gather factor
+        assert {p.scheme: p.gather_factor for p in points} == {
+            "baseline": None, "SAM-en": 4, "masa": None,
+        }
 
 
 class TestDigests:

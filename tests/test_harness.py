@@ -64,9 +64,7 @@ class TestFigure13:
         assert len(names) == 18
 
     def test_small_run(self):
-        result = run_figure13(
-            n_ta=64, n_tb=128, designs=["baseline", "SAM-IO"]
-        )
+        result = run_figure13(n_ta=64, n_tb=128, designs=["SAM-IO"])
         cls = "Read(Q1-Q10)"
         assert result.efficiency[cls]["baseline"] == pytest.approx(1.0)
         assert result.efficiency[cls]["SAM-IO"] > 1.2
@@ -130,12 +128,12 @@ class TestFigure15:
 
 class TestReliability:
     def test_gs_dram_unprotected(self):
-        rows = run_reliability(trials=50)
+        rows = run_reliability(trials=50).rows
         assert not rows["GS-DRAM"].strided_codewords_intact
         assert rows["GS-DRAM"].chip_fault_protection == 0.0
 
     def test_sam_fully_protected(self):
-        rows = run_reliability(trials=50)
+        rows = run_reliability(trials=50).rows
         for design in ("SAM-sub", "SAM-IO", "SAM-en"):
             assert rows[design].strided_codewords_intact
             assert rows[design].chip_fault_protection == 1.0
@@ -144,9 +142,7 @@ class TestReliability:
 
 class TestFigure13Internals:
     def test_power_breakdown_components_sum(self):
-        result = run_figure13(
-            n_ta=64, n_tb=64, designs=["baseline"]
-        )
+        result = run_figure13(n_ta=64, n_tb=64, designs=[])
         for cls, per in result.power_mw.items():
             parts = per["baseline"]
             assert parts["total"] == pytest.approx(
