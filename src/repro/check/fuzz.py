@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.registry import _NO_STRIDE, make_scheme
+from ..core.registry import make_scheme, takes_gather_factor
 from ..core.scheme import TablePlacement
 from ..dram.commands import Request
 from ..dram.controller import ControllerConfig, MemoryController
@@ -233,7 +233,7 @@ def run_case(case: FuzzCase, registry=None,
     scheme = make_scheme(
         case.scheme,
         gather_factor=(case.gather_factor
-                       if case.scheme not in _NO_STRIDE else None),
+                       if takes_gather_factor(case.scheme) else None),
     )
     geometry = scheme.geometry
     truth = scheme.timing

@@ -93,6 +93,30 @@ def _sizes(args) -> dict:
     return {"n_ta": _count(args, "ta"), "n_tb": _count(args, "tb")}
 
 
+def _gather(args, scheme: Optional[str] = None) -> Optional[int]:
+    """The value of ``--gather``: one of the paper's strided
+    granularities (gather factors 2/4/8), or -- for a ``scheme`` without
+    stride hardware -- 1.  ``None`` (flag omitted) takes the default."""
+    from .core.registry import GATHER_FACTORS, takes_gather_factor
+    from .exp import UsageError
+
+    value = args.gather
+    if value is None:
+        return None
+    if scheme is not None and not takes_gather_factor(scheme):
+        if value != 1:
+            raise UsageError(
+                f"design {scheme!r} has no strided access hardware; "
+                f"drop --gather (got {value})"
+            )
+    elif value not in GATHER_FACTORS:
+        raise UsageError(
+            f"--gather must be one of "
+            f"{' '.join(map(str, GATHER_FACTORS))}, got {value}"
+        )
+    return value
+
+
 #: The flag groups a sweep command can take: name -> (add the flags to a
 #: parser, map parsed flags to keyword arguments of the harness).
 _FLAG_GROUPS = {
@@ -117,7 +141,7 @@ _FLAG_GROUPS = {
         lambda p: p.add_argument(
             "--gather", type=int, default=8,
             help="gather factor for stride-capable designs"),
-        lambda args: {"gather_factor": args.gather},
+        lambda args: {"gather_factor": _gather(args)},
     ),
     "panels": (
         lambda p: p.add_argument(
@@ -249,13 +273,28 @@ def _explain_one(scheme_name, query, tables, gather_factor, as_json):
     return plan.explain()
 
 
+def _statement(args, all_schemes: bool = False):
+    """The parsed statement and fresh tables of a single-run command,
+    after checking ``--scheme`` (unless every scheme runs), ``--gather``
+    and ``--ta/--tb``."""
+    from .exp import UsageError, scheme_name
+    from .imdb.sql import SQLError, parse
+    from .workloads import make_tables
+
+    scheme = None if all_schemes else scheme_name(args.scheme)
+    _gather(args, scheme)
+    sizes = _sizes(args)
+    try:
+        query = parse(args.sql, name="cli")
+    except SQLError as exc:
+        raise UsageError(f"bad SQL: {exc}") from None
+    return query, make_tables(sizes["n_ta"], sizes["n_tb"])
+
+
 def _cmd_explain(args) -> int:
     from .core.registry import available_schemes, takes_gather_factor
-    from .workloads import make_tables
-    from .imdb.sql import parse
 
-    query = parse(args.sql, name="cli")
-    tables = make_tables(args.ta, args.tb)
+    query, tables = _statement(args, all_schemes=args.all_schemes)
     schemes = available_schemes() if args.all_schemes else [args.scheme]
 
     def gather_for(name):
@@ -282,12 +321,10 @@ def _cmd_explain(args) -> int:
 
 def _cmd_query(args) -> int:
     from .workloads import make_tables
-    from .imdb.sql import parse
     from .obs import Observation
     from .sim.runner import run_query
 
-    query = parse(args.sql, name="cli")
-    tables = make_tables(args.ta, args.tb)
+    query, tables = _statement(args)
     if args.explain:
         # plan only -- no simulation
         out = _explain_one(args.scheme, query, tables, args.gather,
@@ -399,13 +436,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_trace_report(args) -> int:
-    from .workloads import make_tables
-    from .imdb.sql import parse
     from .obs import Observation, render_stall_report
     from .sim.runner import run_query
 
-    query = parse(args.sql, name="cli")
-    tables = make_tables(args.ta, args.tb)
+    query, tables = _statement(args)
     observe = Observation(timeline=True, artifacts_dir=args.artifacts)
     result = run_query(args.scheme, query, tables,
                        gather_factor=args.gather, observe=observe)
@@ -419,23 +453,37 @@ def _cmd_trace_report(args) -> int:
 
 
 def _parse_inject(pairs) -> tuple:
-    """Parse --inject PARAM=VALUE pairs into timing-override tuples."""
+    """Parse --inject PARAM=VALUE pairs into timing-override tuples;
+    PARAM must be an integer field of the timing table."""
+    from dataclasses import fields
+
+    from .dram.timing import TimingParams
+    from .exp import UsageError
+
+    known = [f.name for f in fields(TimingParams) if f.type in (int, "int")]
     out = []
     for pair in pairs or ():
-        name, _, value = pair.partition("=")
-        if not _ or not name:
-            raise SystemExit(f"--inject wants PARAM=VALUE, got {pair!r}")
+        name, sep, value = pair.partition("=")
+        if not (sep and name and value.lstrip("-").isdigit()):
+            raise UsageError(f"--inject wants PARAM=INT, got {pair!r}")
+        if name not in known:
+            raise UsageError(
+                f"--inject: {name!r} is not a timing parameter "
+                f"(known: {' '.join(known)})"
+            )
         out.append((name, int(value)))
     return tuple(out)
 
 
 def _cmd_check_fuzz(args) -> int:
     from .check import DEFAULT_SCHEMES, run_fuzz
+    from .exp import scheme_name
 
     report = run_fuzz(
         seed=args.seed,
-        cases=args.cases,
-        schemes=tuple(args.schemes) if args.schemes else DEFAULT_SCHEMES,
+        cases=_count(args, "cases"),
+        schemes=(tuple(scheme_name(name) for name in args.schemes)
+                 if args.schemes else DEFAULT_SCHEMES),
         inject=_parse_inject(args.inject),
         artifacts_dir=args.artifacts,
         progress=lambda line: print(line, file=sys.stderr),
@@ -668,7 +716,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        # nested commands ("check fuzz", "trace report") name their leaf
+        path = [args.command, getattr(args, "check_command", None),
+                getattr(args, "trace_command", None)]
+        print(f"repro {' '.join(filter(None, path))}: {exc}",
+              file=sys.stderr)
         return 2
 
 

@@ -38,6 +38,13 @@ _NO_STRIDE = frozenset({
     "baseline", "column-store", "sub-rank", "salp1", "salp2", "masa",
 })
 
+#: strided granularity in bits per chip -> gather factor (elements per
+#: burst): the SSC-DSD symbol widths the paper evaluates (Figure 14b)
+GRANULARITY_TO_GATHER = {16: 2, 8: 4, 4: 8}
+
+#: The gather factors stride-capable designs accept.
+GATHER_FACTORS = tuple(sorted(GRANULARITY_TO_GATHER.values()))
+
 #: The designs of the SALP interaction sweep (``repro salp``): the three
 #: SALP flavours alone, SAM-en alone, and the composed design.
 SALP_DESIGNS = (
@@ -79,9 +86,10 @@ def make_scheme(
 
     ``gather_factor`` sets the strided granularity for stride-capable
     designs: 8 elements/burst at the 4-bit SSC-DSD granularity (the
-    default of Figure 12), 4 at 8-bit SSC, 2 at 16-bit.  Designs without
-    strided hardware (``baseline``, ``column-store``, ``sub-rank``)
-    reject any non-default gather factor instead of silently ignoring it.
+    default of Figure 12), 4 at 8-bit SSC, 2 at 16-bit; any other factor
+    is rejected.  Designs without strided hardware (``baseline``,
+    ``column-store``, ``sub-rank``, the pure SALP designs) reject any
+    non-default gather factor instead of silently ignoring it.
     """
     try:
         factory = _FACTORIES[name]
@@ -100,4 +108,10 @@ def make_scheme(
         return factory(geometry)
     if gather_factor is None:
         return factory(geometry)
+    if gather_factor not in GATHER_FACTORS:
+        raise ValueError(
+            f"scheme {name!r} gathers {GATHER_FACTORS} elements per burst "
+            f"(the paper's 16/8/4-bit granularities); cannot honor "
+            f"gather_factor={gather_factor}"
+        )
     return factory(geometry, gather_factor=gather_factor)

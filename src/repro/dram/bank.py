@@ -2,18 +2,20 @@
 
 A bank is N subarrays sharing global structures: the row-address logic
 (one ACT at a time, paced by ``tRA``), the global bitlines / column path
-(CAS spacing), and -- for SALP-2 / MASA -- the notion of a *designated*
-subarray whose local row buffer currently drives the shared global sense
-amplifiers.  :class:`SubarrayState` tracks one subarray's open row and
-local gates; :class:`BankState` owns the subarrays plus the shared gates
-and exposes the scheduling API the controller uses.
+(CAS spacing), and the notion of a *designated* subarray whose local row
+buffer currently drives the shared global sense amplifiers.
+:class:`SubarrayState` tracks one subarray's open row and local gates;
+:class:`BankState` owns the subarrays plus the shared gates and exposes
+the scheduling API the controller uses.
 
-Four operating modes (``salp``):
+Four operating modes (``salp``) share one code path and differ only in
+the subarray count and the open-subarray capacity:
 
-* ``"none"`` -- the degenerate single-subarray configuration: one
-  :class:`SubarrayState` backs the whole bank and the legacy field API
-  (``open_row`` / ``next_*`` / ``last_act`` properties) delegates to it,
-  preserving the original one-open-row semantics exactly.
+* ``"none"`` -- a conventional bank: the one-subarray, one-open-row
+  instance (Kim et al., ISCA'12, define a conventional bank exactly so).
+  The shared ``tRA`` gate never binds here: two ACTs to the same
+  subarray are at least ``tRAS + tRP`` (and ``tRRD_L``) apart, which
+  exceeds ``tRA`` in every preset.
 * ``"salp1"`` -- SALP-1 (Kim et al., ISCA'12): at most one subarray open,
   but a precharge only pays its ``tRP`` *locally*; an ACT to a different
   subarray of the same bank waits only the short shared-logic re-arm
@@ -47,11 +49,9 @@ SALP_MODES = ("none", "salp1", "salp2", "masa")
 class SubarrayState:
     """Timing state of one subarray: its own open row and local gates.
 
-    In the degenerate ``salp="none"`` configuration one instance backs
-    the whole bank, so these fields carry exactly the legacy bank-level
-    semantics (``next_read``/``next_write`` double as the column-path
-    CAS-spacing gates; under SALP those shared-structure gates live on
-    the :class:`BankState` instead and the local ones only carry tRCD).
+    ``next_read``/``next_write`` carry only the local ACT-to-column delay
+    (tRCD); CAS spacing binds the column path the subarrays share, so it
+    lives on the :class:`BankState`.
     """
 
     timing: TimingParams
@@ -69,21 +69,6 @@ class SubarrayState:
     #: scheduler-equivalence test bites).
     version: int = 0
 
-    def is_open(self, row: Tuple[RowKind, int]) -> bool:
-        return self.open_row == row
-
-    def earliest(self, cmd: Command) -> int:
-        """Earliest cycle this subarray allows ``cmd`` to issue."""
-        if cmd in (Command.ACT, Command.ACT_COL):
-            return self.next_act
-        if cmd is Command.RD:
-            return self.next_read
-        if cmd is Command.WR:
-            return self.next_write
-        if cmd is Command.PRE:
-            return self.next_pre
-        raise ValueError(f"subarray does not gate {cmd}")
-
     def issue_act(self, now: int, row: Tuple[RowKind, int]) -> None:
         t = self.timing
         self.version += 1
@@ -93,26 +78,6 @@ class SubarrayState:
         self.next_write = max(self.next_write, now + t.tRCD)
         self.next_pre = max(self.next_pre, now + t.tRAS)
         self.next_act = FOREVER  # must precharge before the next ACT
-
-    def issue_read(self, now: int, extra_internal: int = 0) -> None:
-        """Account a column read; ``extra_internal`` extends the column
-        path occupancy for multi-internal-burst gathers (RC-NVM-bit
-        etc.)."""
-        t = self.timing
-        tail = extra_internal * t.tCCD_L
-        self.version += 1
-        self.next_read = max(self.next_read, now + t.tCCD_L + tail)
-        self.next_write = max(self.next_write, now + t.tCCD_L + tail)
-        self.next_pre = max(self.next_pre, now + t.tRTP + tail)
-
-    def issue_write(self, now: int, extra_internal: int = 0) -> None:
-        t = self.timing
-        tail = extra_internal * t.tCCD_L
-        self.version += 1
-        self.next_read = max(self.next_read, now + t.tCCD_L + tail)
-        self.next_write = max(self.next_write, now + t.tCCD_L + tail)
-        # write recovery: data lands at now+CWL..now+CWL+tBL, then tWR
-        self.next_pre = max(self.next_pre, now + t.CWL + t.tBL + t.tWR + tail)
 
     def issue_pre(self, now: int) -> None:
         t = self.timing
@@ -124,25 +89,25 @@ class SubarrayState:
 class BankState:
     """Timing state of one bank: N subarrays plus shared-structure gates.
 
-    The legacy single-open-row API (``open_row``, ``next_*``,
-    ``earliest``, ``issue_*`` without a subarray, ``snapshot``) keeps
-    working and is exact in the ``"none"`` mode, where it delegates to
-    the single backing :class:`SubarrayState`.  Subarray states are
+    A conventional bank (``salp="none"``) is the one-subarray instance
+    and runs the same code.  The bank-level view (``open_row``,
+    ``next_*``, ``last_act``, ``earliest``, ``is_open``) combines the
+    subarrays' local gates with the shared ones.  Subarray states are
     created lazily (a bank has 256 of them; a run touches a handful).
 
     Invalidation contract: *every* mutation of scheduling-visible state
     -- local subarray gates, the shared act/column gates, designation,
     the open-subarray set -- bumps :attr:`version` (and the affected
-    subarray's own ``version``).  Under SALP one request's readiness
-    depends on *other* subarrays' state (precharge victims, designation),
-    so the bank epoch is the conservative invalidator; the per-subarray
-    epoch additionally keys the cache entry so a stale subarray ref can
-    never alias a fresh bank epoch.
+    subarray's own ``version``).  One request's readiness depends on
+    *other* subarrays' state (precharge victims, designation), so the
+    bank epoch is the conservative invalidator; the per-subarray epoch
+    additionally keys the cache entry so a stale subarray ref can never
+    alias a fresh bank epoch.
     """
 
     __slots__ = (
         "timing", "salp", "n_subarrays", "rows_per_subarray",
-        "subarrays", "open_subs", "designated",
+        "open_capacity", "subarrays", "open_subs", "designated",
         "next_any_act", "next_sa_sel", "col_next_read", "col_next_write",
         "act_floor", "version",
         "activations", "row_hits", "row_misses", "row_conflicts",
@@ -163,7 +128,15 @@ class BankState:
         self.timing = timing
         self.salp = salp
         self.n_subarrays = 1 if salp == "none" else max(1, subarrays_per_bank)
-        self.rows_per_subarray = rows_per_subarray
+        #: row index -> subarray fold; every row lands in subarray 0 of a
+        #: one-subarray bank
+        self.rows_per_subarray = max(1, rows_per_subarray)
+        #: how many subarrays may be activated concurrently
+        self.open_capacity = (
+            2 if salp == "salp2"
+            else self.n_subarrays if salp == "masa"
+            else 1
+        )
         #: sub_id -> SubarrayState, created on first touch
         self.subarrays: Dict[int, SubarrayState] = {
             0: SubarrayState(timing)
@@ -172,17 +145,15 @@ class BankState:
         #: activation order (dict preserves insertion order -> the first
         #: key is the oldest open subarray, the precharge victim)
         self.open_subs: Dict[int, int] = {}
-        #: subarray owning the global sense amps (SALP-2/MASA); under
-        #: SALP-1 the single open subarray is trivially designated
+        #: subarray owning the global sense amps; the newest ACT takes it
+        #: (so a bank with one open subarray always designates it)
         self.designated: Optional[int] = None
         #: shared row-logic gate: earliest next ACT to *any* subarray
-        #: (tRA pacing); unused in "none" mode, where the single
-        #: subarray's next_act carries the whole story
+        #: (tRA pacing)
         self.next_any_act = 0
         #: MASA designation-switch pacing
         self.next_sa_sel = 0
-        #: shared column-path (global bitline / IO) CAS-spacing gates;
-        #: unused in "none" mode
+        #: shared column-path (global bitline / IO) CAS-spacing gates
         self.col_next_read = 0
         self.col_next_write = 0
         #: refresh-blackout floor applied to lazily-created subarrays
@@ -202,14 +173,12 @@ class BankState:
     # ------------------------------------------------------- subarray access
 
     def sub_id_for(self, row_index: int) -> int:
-        """Subarray holding ``row_index`` (0 in the degenerate mode).
+        """Subarray holding ``row_index``.
 
         Synthetic column-row identities (SAM-sub) exceed the physical row
         range, so the index is folded modulo the subarray count -- the
         same deterministic mapping the protocol checker applies.
         """
-        if self.salp == "none":
-            return 0
         return (row_index // self.rows_per_subarray) % self.n_subarrays
 
     def sub(self, sub_id: int) -> SubarrayState:
@@ -225,22 +194,8 @@ class BankState:
         return self.sub(self.sub_id_for(row_index))
 
     @property
-    def open_capacity(self) -> int:
-        """How many subarrays may be activated concurrently."""
-        if self.salp == "salp2":
-            return 2
-        if self.salp == "masa":
-            return self.n_subarrays
-        return 1  # "none" and "salp1"
-
-    def any_open(self) -> bool:
-        if self.salp == "none":
-            return self.subarrays[0].open_row is not None
-        return bool(self.open_subs)
-
-    @property
     def all_closed(self) -> bool:
-        return not self.any_open()
+        return not self.open_subs
 
     def pre_victim(self, sub_id: int) -> Optional[int]:
         """The open subarray an ACT for (closed) ``sub_id`` must close
@@ -253,9 +208,6 @@ class BankState:
     def pre_candidate(self, now: int) -> Optional[SubarrayState]:
         """The open subarray closest to being precharge-ready (refresh
         path); None when the bank is fully precharged."""
-        if self.salp == "none":
-            sub = self.subarrays[0]
-            return sub if sub.open_row is not None else None
         best: Optional[SubarrayState] = None
         for sub_id in self.open_subs:
             sub = self.subarrays[sub_id]
@@ -263,72 +215,66 @@ class BankState:
                 best = sub
         return best
 
-    # ------------------------------------------------ legacy (N=1) field API
+    # ------------------------------------------------------ bank-level view
+
+    def _designated_sub(self) -> Optional[SubarrayState]:
+        if self.designated is None:
+            return None
+        return self.subarrays[self.designated]
 
     @property
     def open_row(self) -> Optional[Tuple[RowKind, int]]:
-        """The designated subarray's open row (the bank's open row in the
-        degenerate mode).  Diagnostics / shadow-sync accessor; the
-        scheduler reads per-subarray state directly."""
-        if self.salp == "none":
-            return self.subarrays[0].open_row
-        if self.designated is None:
-            return None
-        return self.subarrays[self.designated].open_row
+        """The designated subarray's open row.  Diagnostics / shadow-sync
+        accessor; the scheduler reads per-subarray state directly."""
+        sub = self._designated_sub()
+        return None if sub is None else sub.open_row
 
     @property
     def next_act(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_act
-        return self.next_any_act
+        """Earliest ACT to any subarray: the soonest local gate (lazy
+        subarrays sit at the refresh floor) under the shared tRA gate."""
+        local = min(sub.next_act for sub in self.subarrays.values())
+        if len(self.subarrays) < self.n_subarrays:
+            local = min(local, self.act_floor)
+        return max(local, self.next_any_act)
 
     @property
     def next_read(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_read
-        return self.col_next_read
+        sub = self._designated_sub()
+        return max(0 if sub is None else sub.next_read, self.col_next_read)
 
     @property
     def next_write(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_write
-        return self.col_next_write
+        sub = self._designated_sub()
+        return max(0 if sub is None else sub.next_write, self.col_next_write)
 
     @property
     def next_pre(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].next_pre
         sub = self.pre_candidate(0)
         return 0 if sub is None else sub.next_pre
 
     @property
     def last_act(self) -> int:
-        if self.salp == "none":
-            return self.subarrays[0].last_act
-        best = -FOREVER
-        for sub_id in self.open_subs:
-            best = max(best, self.subarrays[sub_id].last_act)
-        return best
+        return max((self.subarrays[i].last_act for i in self.open_subs),
+                   default=-FOREVER)
 
     def is_open(self, row: Tuple[RowKind, int]) -> bool:
         return self.open_row == row
 
     def earliest(self, cmd: Command) -> int:
-        """Earliest cycle this bank allows ``cmd`` to issue (degenerate
-        single-subarray view; under SALP the scheduler combines the
-        per-subarray and shared gates itself)."""
-        if cmd is Command.SA_SEL:
-            return self.next_sa_sel
-        if self.salp == "none":
-            return self.subarrays[0].earliest(cmd)
+        """Earliest cycle this bank allows ``cmd`` to issue (bank-level
+        view; the scheduler combines the per-subarray and shared gates
+        itself)."""
         if cmd in (Command.ACT, Command.ACT_COL):
-            return self.next_any_act
+            return self.next_act
         if cmd is Command.RD:
-            return self.col_next_read
+            return self.next_read
         if cmd is Command.WR:
-            return self.col_next_write
+            return self.next_write
         if cmd is Command.PRE:
             return self.next_pre
+        if cmd is Command.SA_SEL:
+            return self.next_sa_sel
         raise ValueError(f"bank does not gate {cmd}")
 
     # -------------------------------------------------------------- issuing
@@ -343,51 +289,46 @@ class BankState:
         if self.first_act_cycle < 0:
             self.first_act_cycle = now
         self.last_act_cycle = now
-        if self.salp != "none":
-            self.open_subs[sub.sub_id] = now
-            self.designated = sub.sub_id  # newest ACT owns the global SAs
-            self.next_any_act = max(self.next_any_act,
-                                    now + self.timing.tRA)
+        self.open_subs[sub.sub_id] = now
+        self.designated = sub.sub_id  # newest ACT owns the global SAs
+        # Shared row-logic re-arm.  In a one-subarray bank this never
+        # binds: the next ACT to the bank waits for a PRE (>= tRAS after
+        # this ACT) plus tRP, and for tRRD_L, and tRAS + tRP and tRRD_L
+        # both exceed tRA in every preset (DDR4 39+17 and 6, RRAM 36+1
+        # and 6, against tRA 4).  Only a corrupted timing table (the
+        # fuzzer's --inject) can make it bind there.
+        self.next_any_act = max(self.next_any_act, now + self.timing.tRA)
+
+    def _issue_cas(self, now: int, extra_internal: int,
+                   sub: Optional[SubarrayState], recovery: int) -> None:
+        """Account a column command: CAS spacing binds the shared column
+        path, ``recovery`` (read-to-precharge or write recovery) binds
+        only the accessed subarray.  ``extra_internal`` extends the
+        column-path occupancy for multi-internal-burst gathers (RC-NVM-bit
+        etc.)."""
+        t = self.timing
+        tail = extra_internal * t.tCCD_L
+        if sub is None:
+            sub = self.subarrays[self.designated]
+        self.version += 1
+        sub.version += 1
+        self.col_next_read = max(self.col_next_read, now + t.tCCD_L + tail)
+        self.col_next_write = max(self.col_next_write, now + t.tCCD_L + tail)
+        sub.next_pre = max(sub.next_pre, now + recovery + tail)
 
     def issue_read(self, now: int, extra_internal: int = 0,
                    sub: Optional[SubarrayState] = None) -> None:
-        self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_read(now, extra_internal)
-            return
-        t = self.timing
-        tail = extra_internal * t.tCCD_L
-        if sub is None:
-            sub = self.subarrays[self.designated]
-        sub.version += 1
-        # CAS spacing binds the shared column path; read-to-precharge
-        # recovery binds only the accessed subarray
-        self.col_next_read = max(self.col_next_read, now + t.tCCD_L + tail)
-        self.col_next_write = max(self.col_next_write, now + t.tCCD_L + tail)
-        sub.next_pre = max(sub.next_pre, now + t.tRTP + tail)
+        self._issue_cas(now, extra_internal, sub, self.timing.tRTP)
 
     def issue_write(self, now: int, extra_internal: int = 0,
                     sub: Optional[SubarrayState] = None) -> None:
-        self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_write(now, extra_internal)
-            return
         t = self.timing
-        tail = extra_internal * t.tCCD_L
-        if sub is None:
-            sub = self.subarrays[self.designated]
-        sub.version += 1
-        self.col_next_read = max(self.col_next_read, now + t.tCCD_L + tail)
-        self.col_next_write = max(self.col_next_write, now + t.tCCD_L + tail)
-        sub.next_pre = max(sub.next_pre,
-                           now + t.CWL + t.tBL + t.tWR + tail)
+        # write recovery: data lands at now+CWL..now+CWL+tBL, then tWR
+        self._issue_cas(now, extra_internal, sub, t.CWL + t.tBL + t.tWR)
 
     def issue_pre(self, now: int,
                   sub: Optional[SubarrayState] = None) -> None:
         self.version += 1
-        if self.salp == "none":
-            self.subarrays[0].issue_pre(now)
-            return
         if sub is None:
             sub = self.pre_candidate(now)
             if sub is None:
@@ -411,18 +352,12 @@ class BankState:
 
     def force_close(self, now: int) -> None:
         """Close every open subarray as part of a refresh."""
-        if self.salp == "none":
-            if self.subarrays[0].open_row is not None:
-                self.version += 1
-                self.subarrays[0].issue_pre(now)
-            return
         for sub_id in list(self.open_subs):
             self.issue_pre(now, self.subarrays[sub_id])
 
     def refresh(self, now: int, t_rfc: int) -> None:
-        """Refresh blackout: close all subarrays, block ACTs for tRFC.
-        Replaces the legacy direct ``bank.next_act`` write (the gates are
-        per-subarray now); bumps every readiness epoch involved."""
+        """Refresh blackout: close all subarrays, block ACTs for tRFC;
+        bumps every readiness epoch involved."""
         self.force_close(now)
         self.version += 1
         until = now + t_rfc
@@ -430,8 +365,7 @@ class BankState:
         for sub in self.subarrays.values():
             sub.version += 1
             sub.next_act = max(sub.next_act, until)
-        if self.salp != "none":
-            self.next_any_act = max(self.next_any_act, until)
+        self.next_any_act = max(self.next_any_act, until)
 
     def snapshot(self) -> dict:
         """Timing-state snapshot for protocol-checker cross-validation."""

@@ -126,8 +126,7 @@ class Request:
     #: direct references to the RankState/BankState/SubarrayState this
     #: request's fixed address decodes to, filled by the controller at
     #: submit so the scheduler scan skips the ranks[...]/banks[...]
-    #: indexing (the subarray is the whole bank in the degenerate
-    #: single-subarray configuration)
+    #: indexing (a conventional bank is its one subarray)
     _rank: Optional[object] = field(default=None, repr=False, compare=False)
     _bank: Optional[object] = field(default=None, repr=False, compare=False)
     _sub: Optional[object] = field(default=None, repr=False, compare=False)

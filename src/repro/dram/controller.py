@@ -140,8 +140,9 @@ class MemoryController:
         self.geometry = geometry or Geometry()
         self.config = config or ControllerConfig()
         self.channel_id = channel_id
-        #: subarray-level-parallelism mode: "none" (legacy one-open-row
-        #: banks), "salp1", "salp2" or "masa"
+        #: subarray-level-parallelism mode: "none" (conventional banks,
+        #: the one-subarray case of the same bank model), "salp1",
+        #: "salp2" or "masa"
         self.salp = salp
         self.channel = ChannelState(timing, self.geometry, salp=salp)
         #: optional command observer: called as (cycle, command, request)
@@ -525,79 +526,19 @@ class MemoryController:
         subarray/bank/rank constraints, the binding stall tag, and which
         bus term applies at lookup time.  Everything read here is covered
         by ``bank.version``, ``rank.version`` and the request's
-        subarray's ``version`` (under SALP one request's readiness also
-        depends on *other* subarrays -- precharge victims, designation --
-        which is why every bank mutation bumps ``bank.version``), so a
-        cached entry stays exact until one of those moves."""
+        subarray's ``version`` (one request's readiness also depends on
+        *other* subarrays -- precharge victims, designation -- which is
+        why every bank mutation bumps ``bank.version``), so a cached
+        entry stays exact until one of those moves.
+
+        The subarray gates carry tRP/tRCD/tRAS recovery, the bank carries
+        the shared row-logic (tRA) and column-path gates, and column
+        commands go only to the designated subarray.  A conventional bank
+        is the one-subarray case: its one open subarray is always the
+        designated one and the victim search never fires."""
         if rank.ensure_mode(request.io_mode):
             earliest = max(rank.busy_until, rank.next_read, rank.next_write)
             return (Command.MRS, earliest, MODE_SWITCH, _BUS_MRS)
-        if self.salp != "none":
-            return self._entry_terms_salp(request, rank, bank)
-
-        needed = request.row_id()
-        sub = request._sub  # the whole bank in the degenerate configuration
-        if sub.open_row == needed:
-            cmd = Command.RD if request.is_read else Command.WR
-            bank_gate = sub.earliest(cmd)
-            rank_gate = rank.earliest_cas(cmd)
-            if rank_gate == rank.busy_until:
-                rank_tag = REFRESH
-            elif rank_gate == rank.next_act_any:
-                rank_tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT alike
-            else:
-                rank_tag = WRITE_DRAIN  # tWTR write-to-read turnaround
-            earliest, reason = self._binding(
-                (
-                    bank_gate,
-                    # the bank CAS gate is tRCD right after an ACT,
-                    # tCCD column-path spacing otherwise
-                    TRCD
-                    if bank_gate <= sub.last_act + self.timing.tRCD
-                    else CCD_BUS,
-                ),
-                (rank_gate, rank_tag),
-            )
-            return (cmd, earliest, reason, _BUS_CAS)
-        if sub.open_row is None:
-            cmd = (
-                Command.ACT
-                if needed[0].value == "row"
-                else Command.ACT_COL
-            )
-            bank_gate = sub.earliest(Command.ACT)
-            act_gate = rank.earliest_act(0, request.addr.bank_group)
-            if act_gate == rank.busy_until:
-                act_tag = REFRESH
-            elif act_gate == rank.next_act_any:
-                act_tag = MODE_SWITCH
-            else:
-                act_tag = TFAW  # tFAW window or tRRD spacing
-            earliest, reason = self._binding(
-                (
-                    bank_gate,
-                    # post-refresh the bank ACT gate is the tRFC blackout,
-                    # post-precharge it is tRP
-                    REFRESH if rank.busy_until >= bank_gate else TRP,
-                ),
-                (act_gate, act_tag),
-            )
-            return (cmd, earliest, reason, _BUS_NONE)
-        # row conflict: precharge first
-        earliest, reason = self._binding(
-            (sub.earliest(Command.PRE), TRAS),
-            (rank.busy_until, REFRESH),
-        )
-        return (Command.PRE, earliest, reason, _BUS_NONE)
-
-    def _entry_terms_salp(
-        self, request: Request, rank, bank
-    ) -> Tuple[Command, int, str, int]:
-        """SALP readiness terms: the per-subarray gates carry tRP/tRCD/
-        tRAS recovery, the bank carries the shared row-logic (tRA) and
-        column-path gates, and SALP-2/MASA additionally gate column
-        commands on global sense-amp designation."""
-        t = self.timing
         needed = request.row_id()
         sub = request._sub
         if sub.open_row == needed:
@@ -612,12 +553,13 @@ class MemoryController:
                 if rank_gate == rank.busy_until:
                     rank_tag = REFRESH
                 elif rank_gate == rank.next_act_any:
-                    rank_tag = MODE_SWITCH
+                    rank_tag = MODE_SWITCH  # tMOD_IO stalls CAS and ACT
                 else:
-                    rank_tag = WRITE_DRAIN
+                    rank_tag = WRITE_DRAIN  # tWTR write-to-read turnaround
                 earliest, reason = self._binding(
-                    (local, TRCD if local <= sub.last_act + t.tRCD
-                     else CCD_BUS),
+                    # the local gate is the last ACT + tRCD; the shared
+                    # one is the column path's CAS spacing
+                    (local, TRCD),
                     (shared, CCD_BUS),
                     (rank_gate, rank_tag),
                 )
@@ -659,8 +601,10 @@ class MemoryController:
             elif act_gate == rank.next_act_any:
                 act_tag = MODE_SWITCH
             else:
-                act_tag = TFAW
+                act_tag = TFAW  # tFAW window or tRRD spacing
             earliest, reason = self._binding(
+                # post-refresh the subarray ACT gate is the tRFC blackout,
+                # post-precharge it is tRP
                 (sub.next_act,
                  REFRESH if rank.busy_until >= sub.next_act else TRP),
                 (bank.next_any_act, SUBARRAY),  # shared row-logic re-arm
@@ -697,9 +641,9 @@ class MemoryController:
         rank = request._rank
         bank = request._bank
         pre_sub = None
-        if command is Command.PRE and self.salp != "none":
+        if command is Command.PRE:
             # resolved before the hooks: the checker needs the PRE's
-            # subarray operand (a real SALP PRE names its subarray)
+            # subarray operand (a precharge names the subarray it closes)
             pre_sub = self._pre_target(request, bank)
         self.channel.occupy_command_bus(now)
         if self.observer is not None:
@@ -741,7 +685,6 @@ class MemoryController:
         req_type = RequestType.READ if request.is_read else RequestType.WRITE
         if command is Command.RD:
             bank.issue_read(now, request.internal_bursts, request._sub)
-            rank.issue_read(now)
         else:
             bank.issue_write(now, request.internal_bursts, request._sub)
             rank.issue_write(now)
@@ -751,18 +694,17 @@ class MemoryController:
         self._last_cas_group = (request.addr.rank, request.addr.bank_group)
         if self.config.page_policy == "closed":
             # auto-precharge (RDA/WRA): the row closes once tRTP/tWR allow
-            salp = self.salp != "none"
-            pre_at = request._sub.next_pre if salp \
-                else bank.earliest(Command.PRE)
+            sub = request._sub
+            pre_at = sub.next_pre
             if self.checker is not None:
                 self.checker.on_command(
                     pre_at, Command.PRE, request, implicit=True,
-                    subarray=request._sub.sub_id if salp else None,
+                    subarray=sub.sub_id,
                 )
             if self.timeline is not None:
                 self.timeline.on_command(pre_at, Command.PRE, request,
                                          implicit=True)
-            bank.issue_pre(pre_at, request._sub if salp else None)
+            bank.issue_pre(pre_at, sub)
             self.stats.precharges += 1
         self._account_cas(request, command)
         self.stats.row_hits += 1
@@ -823,9 +765,7 @@ class MemoryController:
                     if self.checker is not None:
                         self.checker.on_command(
                             now, Command.PRE, None,
-                            rank=rank_id, bank=bank_id,
-                            subarray=sub.sub_id if self.salp != "none"
-                            else None,
+                            rank=rank_id, bank=bank_id, subarray=sub.sub_id,
                         )
                     if self.timeline is not None:
                         self.timeline.on_command(now, Command.PRE, None,

@@ -75,9 +75,6 @@ class RankState:
             return max(base, self.next_read)
         return max(base, self.next_write)
 
-    def issue_read(self, now: int) -> None:
-        pass  # rank-level read effects handled at the channel
-
     def issue_write(self, now: int) -> None:
         t = self.timing
         # write-to-read turnaround within this rank

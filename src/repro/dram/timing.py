@@ -19,8 +19,12 @@ full tRP precharge of the first subarray).  ``tSA_SEL`` is the
 subarray-select delay of MASA: re-designating which activated subarray
 drives the shared global bitlines costs one control-register write
 before the next column command.  Both default to values in the tRRD/tRTR
-class so every preset is SALP-capable without redefining it; they are
-ignored entirely in the degenerate single-subarray configuration.
+class so every preset is SALP-capable without redefining it.  A
+conventional bank is the one-subarray case of the same model: ``tRA`` is
+applied there too but never binds, because two ACTs to one subarray are
+at least ``tRAS + tRP`` apart (DDR4 39+17, RRAM 36+1, against tRA 4) and
+at least ``tRRD_L`` (6) apart, and ``tSA_SEL`` never arises because only
+MASA issues ``SA_SEL``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from .spec import (
     baseline_grid,
     build_tables,
     design_list,
+    scheme_name,
     standard_tables,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "design_list",
     "execute_point",
     "point_digest",
+    "scheme_name",
     "source_digest",
     "standard_tables",
 ]

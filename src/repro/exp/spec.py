@@ -45,6 +45,7 @@ __all__ = [
     "baseline_grid",
     "build_tables",
     "design_list",
+    "scheme_name",
     "standard_tables",
 ]
 
@@ -180,15 +181,26 @@ def design_list(
                 "design 'baseline' is the reference every sweep runs; "
                 "do not list it"
             )
-        if name not in known:
-            close = difflib.get_close_matches(name, known)
-            hint = f"; did you mean {' or '.join(close)}?" if close else ""
-            raise UsageError(
-                f"unknown design {name!r}{hint} (known: {' '.join(known)})"
-            )
+        _require_known("design", name, known)
         if name in names[:i]:
             raise UsageError(f"design {name!r} is listed twice")
     return names
+
+
+def scheme_name(name: str) -> str:
+    """``name`` if it is a registered scheme (``baseline`` included), else
+    a :class:`UsageError` naming the close matches."""
+    _require_known("scheme", name, available_schemes())
+    return name
+
+
+def _require_known(what: str, name: str, known: Sequence[str]) -> None:
+    if name not in known:
+        close = difflib.get_close_matches(name, known)
+        hint = f"; did you mean {' or '.join(close)}?" if close else ""
+        raise UsageError(
+            f"unknown {what} {name!r}{hint} (known: {' '.join(known)})"
+        )
 
 
 def baseline_grid(

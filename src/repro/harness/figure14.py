@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from ..area.overhead import AreaReport, all_designs
+from ..core.registry import GRANULARITY_TO_GATHER
 from ..exp import ExperimentSpec, SweepEngine, SweepPoint, standard_tables
 from ..imdb.queries import all_queries, q_queries
 from ..workloads import QueryWorkload, geomean
@@ -125,9 +126,6 @@ class Figure14bResult:
             lines.append(row)
         return "\n".join(lines)
 
-
-#: granularity in bits-per-chip -> gather factor (elements per burst)
-GRANULARITY_TO_GATHER = {16: 2, 8: 4, 4: 8}
 
 #: The designs Figure 14(b) sweeps over strided granularity.
 FIGURE14B_DESIGNS = ("RC-NVM-wd", "GS-DRAM-ecc", "SAM-en")

@@ -80,7 +80,7 @@ def _usage_cases():
         "queries": [["--queries", "Q99"], ["--queries", "Q3", "Qx"]],
         "panels": [["--panels", "z"], ["--panels", "a", "ab"]],
         "trials": [["--trials", "0"]],
-        "gather": [],
+        "gather": [["--gather", "0"], ["--gather", "3"]],
     }
     out = []
     for sweep in SWEEPS:
@@ -90,10 +90,29 @@ def _usage_cases():
         if sweep.name == "salp":
             bad.append(["--queries", "Qs1"])  # outside the Q family
         out += [(sweep.name, argv) for argv in bad]
+    sql = "SELECT f3 FROM Ta"
+    for command in ("query", "explain", "trace report"):
+        out += [(command, argv) for argv in (
+            [sql, "--scheme", "bogus"],
+            [sql, "--scheme", "SAM_en"],
+            [sql, "--ta", "0"],
+            [sql, "--tb", "-1"],
+            ["SELEC f3 FROM Ta"],
+            [sql, "--gather", "3"],
+            [sql, "--scheme", "baseline", "--gather", "4"],
+        )]
+    out += [("check fuzz", argv) for argv in (
+        ["--cases", "0"],
+        ["--schemes", "bogus"],
+        ["--inject", "tRCD=x"],
+        ["--inject", "bogus=1"],
+        ["--inject", "tRCD"],
+    )]
     return out
 
 
 USAGE_CASES = _usage_cases()
+SWEEP_NAMES = {sweep.name for sweep in SWEEPS}
 
 
 class TestParser:
@@ -125,7 +144,8 @@ class TestUsageErrors:
     def test_bad_input_exits_2(self, capsys, command, argv):
         """Bad input is one stderr line and exit 2 -- no table, no
         traceback, no simulation."""
-        code = main([command, "--no-cache", *argv])
+        engine = ["--no-cache"] if command in SWEEP_NAMES else []
+        code = main([*command.split(), *engine, *argv])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
@@ -135,6 +155,10 @@ class TestUsageErrors:
 
     def test_unknown_design_suggests_close_names(self, capsys):
         assert main(["kernels", "--designs", "SAM_en"]) == 2
+        assert "did you mean SAM-en" in capsys.readouterr().err
+
+    def test_unknown_scheme_suggests_close_names(self, capsys):
+        assert main(["query", "SELECT f3 FROM Ta", "--scheme", "SAM_en"]) == 2
         assert "did you mean SAM-en" in capsys.readouterr().err
 
 

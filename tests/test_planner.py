@@ -248,3 +248,19 @@ class TestSchemeGatherValidation:
     def test_stride_schemes_accept_gather_factor(self):
         scheme = make_scheme("SAM-en", gather_factor=4)
         assert scheme.gather_factor == 4
+
+    @pytest.mark.parametrize("name", sorted(STRIDED))
+    @pytest.mark.parametrize("factor", (0, 1, 3, 16))
+    def test_stride_schemes_reject_other_factors(self, name, factor):
+        """Only the paper's granularities (2/4/8 elements per burst)."""
+        with pytest.raises(ValueError, match=f"gather_factor={factor}"):
+            make_scheme(name, gather_factor=factor)
+
+    def test_factors_are_the_figure14_granularities(self):
+        from repro.core.registry import GATHER_FACTORS
+        from repro.harness.figure14 import GRANULARITY_TO_GATHER
+
+        assert set(GATHER_FACTORS) == set(GRANULARITY_TO_GATHER.values())
+        for factor in GATHER_FACTORS:
+            assert make_scheme("SAM-en", gather_factor=factor) \
+                .gather_factor == factor

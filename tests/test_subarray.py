@@ -4,7 +4,8 @@ Covers the three layers the SALP refactor touched:
 
 * :class:`~repro.dram.bank.SubarrayState` / :class:`~repro.dram.bank.BankState`
   -- per-subarray gates, shared-structure gates, designation, capacity,
-  refresh blackout, and the degenerate ``salp="none"`` legacy API;
+  refresh blackout, and the conventional ``salp="none"`` bank as the
+  one-subarray instance;
 * the protocol checker's subarray rules (tRA, tSA_SEL, capacity,
   designation, SA_SEL legality) on hand-built command streams;
 * the readiness-index invalidation contract: a hypothesis property that
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.check.protocol import TimingProtocolChecker
-from repro.dram.bank import FOREVER, BankState, SubarrayState
+from repro.dram.bank import FOREVER, BankState
 from repro.dram.commands import Command, RowKind
 from repro.dram.geometry import Geometry
 from repro.dram.timing import DDR4_2400
@@ -63,9 +64,9 @@ def test_synthetic_rows_fold_into_range():
     assert bank.sub_id_for(huge) == 3
 
 
-# ------------------------------------------------------- legacy (none) mode
+# ------------------------------------------------- one-subarray (none) mode
 
-def test_none_mode_legacy_field_api():
+def test_none_mode_one_subarray_field_api():
     bank = BankState(T)
     sub = bank.subarrays[0]
     bank.issue_act(100, ROW0)
@@ -81,18 +82,18 @@ def test_none_mode_legacy_field_api():
     assert bank.all_closed
 
 
-def test_subarray_state_gates_match_legacy_bank():
-    """One SubarrayState must reproduce the legacy bank field updates."""
-    sub = SubarrayState(T)
-    sub.issue_act(50, ROW0)
-    assert sub.earliest(Command.RD) == 50 + T.tRCD
-    assert sub.earliest(Command.PRE) == 50 + T.tRAS
-    sub.issue_read(60, extra_internal=2)
+def test_subarray_state_gates_match_one_subarray_bank():
+    """A one-subarray bank's gates follow the conventional bank rules."""
+    bank = BankState(T)
+    bank.issue_act(50, ROW0)
+    assert bank.earliest(Command.RD) == 50 + T.tRCD
+    assert bank.earliest(Command.PRE) == 50 + T.tRAS
+    bank.issue_read(60, extra_internal=2)
     tail = 2 * T.tCCD_L
-    assert sub.next_read == 60 + T.tCCD_L + tail
-    assert sub.next_pre == max(50 + T.tRAS, 60 + T.tRTP + tail)
-    sub.issue_write(80)
-    assert sub.next_pre >= 80 + T.CWL + T.tBL + T.tWR
+    assert bank.next_read == 60 + T.tCCD_L + tail
+    assert bank.next_pre == max(50 + T.tRAS, 60 + T.tRTP + tail)
+    bank.issue_write(80)
+    assert bank.next_pre >= 80 + T.CWL + T.tBL + T.tWR
 
 
 # ------------------------------------------------------------- SALP modes
