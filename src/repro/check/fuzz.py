@@ -223,10 +223,11 @@ def run_case(case: FuzzCase, registry=None,
     ``reference`` swaps the controller's incremental FR-FCFS readiness
     index for the full-recompute reference scheduler, ``stall_ledger`` (an
     :class:`~repro.obs.stalls.StallLedger`) captures the controller's
-    wait attribution, and ``on_command`` (``(cycle, command, request)``)
-    observes the issued command stream -- together they let the
-    equivalence tests replay one fuzzed trace through both scheduler
-    variants and diff streams, cycles and ledgers.
+    wait attribution, and ``on_command`` (a controller command listener,
+    see :attr:`MemoryController.command_listeners`) observes the issued
+    command stream -- together they let the equivalence tests replay one
+    fuzzed trace through both scheduler variants and diff streams, cycles
+    and ledgers.
     """
     # non-stride schemes reject a gather factor; the case's factor only
     # shapes the generated trace for them
@@ -249,7 +250,7 @@ def run_case(case: FuzzCase, registry=None,
         salp=scheme.salp_mode,
     )
     if on_command is not None:
-        mc.observer = on_command
+        mc.command_listeners.append(on_command)
     if stall_ledger is not None:
         mc.stall_ledger = stall_ledger
     checker = TimingProtocolChecker(
@@ -458,10 +459,14 @@ def case_from_json(payload: dict) -> FuzzCase:
     )
 
 
+def load_case(path) -> FuzzCase:
+    """Read a JSON reproducer written by :func:`run_fuzz`."""
+    return case_from_json(json.loads(Path(path).read_text()))
+
+
 def replay(path) -> CaseResult:
     """Re-run a JSON reproducer written by :func:`run_fuzz`."""
-    payload = json.loads(Path(path).read_text())
-    return run_case(case_from_json(payload))
+    return run_case(load_case(path))
 
 
 # --------------------------------------------------------------- top level

@@ -1,8 +1,8 @@
 """JEDEC-style timing-protocol checker.
 
 A :class:`TimingProtocolChecker` observes every command the controller
-issues (via the controller's ``checker`` hook and the channel's
-data-burst observer) and replays it against an independent shadow state
+issues (as a controller command listener plus a channel data-burst
+listener) and replays it against an independent shadow state
 machine built from nothing but :class:`~repro.dram.timing.TimingParams`
 and :class:`~repro.dram.geometry.Geometry`.  Any command that arrives
 earlier than the timing rules allow raises (or records) a structured
@@ -191,11 +191,11 @@ class TimingProtocolChecker:
     # ------------------------------------------------------------ attaching
 
     def attach(self, controller) -> "TimingProtocolChecker":
-        """Install this checker on a live controller (command hook plus
-        the channel's data-burst observer)."""
+        """Install this checker on a live controller: a command listener
+        plus a data-burst listener on its channel."""
         self._controller = controller
-        controller.checker = self
-        controller.channel.observer = self.on_data_burst
+        controller.command_listeners.append(self.on_command)
+        controller.channel.burst_listeners.append(self.on_data_burst)
         return self
 
     # ------------------------------------------------------------ reporting

@@ -501,9 +501,18 @@ def _cmd_check_fuzz(args) -> int:
 
 
 def _cmd_check_replay(args) -> int:
-    from .check import replay
+    from .check.fuzz import load_case, run_case
+    from .exp import UsageError, scheme_name
 
-    result = replay(args.artifact)
+    try:
+        case = load_case(args.artifact)
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise UsageError(
+            f"cannot replay {args.artifact}: not a fuzz reproducer "
+            f"({type(exc).__name__}: {exc})"
+        ) from None
+    scheme_name(case.scheme)
+    result = run_case(case)
     payload = {
         "case": result.case.describe(),
         "commands": result.commands,

@@ -49,17 +49,16 @@ SALP_MODES = ("none", "salp1", "salp2", "masa")
 class SubarrayState:
     """Timing state of one subarray: its own open row and local gates.
 
-    ``next_read``/``next_write`` carry only the local ACT-to-column delay
-    (tRCD); CAS spacing binds the column path the subarrays share, so it
-    lives on the :class:`BankState`.
+    ``next_cas`` carries only the local ACT-to-column delay (tRCD), which
+    reads and writes share; CAS spacing binds the column path the
+    subarrays share, so it lives on the :class:`BankState`.
     """
 
     timing: TimingParams
     sub_id: int = 0
     open_row: Optional[Tuple[RowKind, int]] = None
     next_act: int = 0
-    next_read: int = 0
-    next_write: int = 0
+    next_cas: int = 0
     next_pre: int = 0
     last_act: int = -FOREVER
     #: invalidation epoch for the controller's readiness index: bumped on
@@ -74,8 +73,7 @@ class SubarrayState:
         self.version += 1
         self.open_row = row
         self.last_act = now
-        self.next_read = max(self.next_read, now + t.tRCD)
-        self.next_write = max(self.next_write, now + t.tRCD)
+        self.next_cas = max(self.next_cas, now + t.tRCD)
         self.next_pre = max(self.next_pre, now + t.tRAS)
         self.next_act = FOREVER  # must precharge before the next ACT
 
@@ -108,7 +106,7 @@ class BankState:
     __slots__ = (
         "timing", "salp", "n_subarrays", "rows_per_subarray",
         "open_capacity", "subarrays", "open_subs", "designated",
-        "next_any_act", "next_sa_sel", "col_next_read", "col_next_write",
+        "next_any_act", "next_sa_sel", "col_next_cas",
         "act_floor", "version",
         "activations", "row_hits", "row_misses", "row_conflicts",
         "sa_sels", "first_act_cycle", "last_act_cycle",
@@ -153,9 +151,9 @@ class BankState:
         self.next_any_act = 0
         #: MASA designation-switch pacing
         self.next_sa_sel = 0
-        #: shared column-path (global bitline / IO) CAS-spacing gates
-        self.col_next_read = 0
-        self.col_next_write = 0
+        #: shared column-path (global bitline / IO) CAS-spacing gate,
+        #: the same for reads and writes
+        self.col_next_cas = 0
         #: refresh-blackout floor applied to lazily-created subarrays
         self.act_floor = 0
         self.version = 0
@@ -239,14 +237,10 @@ class BankState:
         return max(local, self.next_any_act)
 
     @property
-    def next_read(self) -> int:
+    def next_cas(self) -> int:
+        """Earliest RD or WR to the designated subarray."""
         sub = self._designated_sub()
-        return max(0 if sub is None else sub.next_read, self.col_next_read)
-
-    @property
-    def next_write(self) -> int:
-        sub = self._designated_sub()
-        return max(0 if sub is None else sub.next_write, self.col_next_write)
+        return max(0 if sub is None else sub.next_cas, self.col_next_cas)
 
     @property
     def next_pre(self) -> int:
@@ -267,10 +261,8 @@ class BankState:
         itself)."""
         if cmd in (Command.ACT, Command.ACT_COL):
             return self.next_act
-        if cmd is Command.RD:
-            return self.next_read
-        if cmd is Command.WR:
-            return self.next_write
+        if cmd in (Command.RD, Command.WR):
+            return self.next_cas
         if cmd is Command.PRE:
             return self.next_pre
         if cmd is Command.SA_SEL:
@@ -312,8 +304,7 @@ class BankState:
             sub = self.subarrays[self.designated]
         self.version += 1
         sub.version += 1
-        self.col_next_read = max(self.col_next_read, now + t.tCCD_L + tail)
-        self.col_next_write = max(self.col_next_write, now + t.tCCD_L + tail)
+        self.col_next_cas = max(self.col_next_cas, now + t.tCCD_L + tail)
         sub.next_pre = max(sub.next_pre, now + recovery + tail)
 
     def issue_read(self, now: int, extra_internal: int = 0,
@@ -347,8 +338,7 @@ class BankState:
         self.sa_sels += 1
         self.designated = sub.sub_id
         self.next_sa_sel = max(self.next_sa_sel, now + t.tSA_SEL)
-        self.col_next_read = max(self.col_next_read, now + t.tSA_SEL)
-        self.col_next_write = max(self.col_next_write, now + t.tSA_SEL)
+        self.col_next_cas = max(self.col_next_cas, now + t.tSA_SEL)
 
     def force_close(self, now: int) -> None:
         """Close every open subarray as part of a refresh."""
@@ -372,8 +362,7 @@ class BankState:
         state = {
             "open_row": self.open_row,
             "next_act": self.next_act,
-            "next_read": self.next_read,
-            "next_write": self.next_write,
+            "next_cas": self.next_cas,
             "next_pre": self.next_pre,
         }
         if self.salp != "none":

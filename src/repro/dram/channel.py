@@ -37,10 +37,10 @@ class ChannelState:
     subbus_free: Dict[int, int] = field(default_factory=dict)
     #: last burst per pin group, for per-group tRTR/tRTW bubbles
     subbus_last: Dict[int, _LastBurst] = field(default_factory=dict)
-    #: optional data-burst observer, called as
+    #: data-burst listeners, each called as
     #: ``(now, cmd, rank, subrank, data_start, data_end)`` on every CAS
-    #: (protocol checker hook); keep None for full-speed runs
-    observer: Optional[Callable] = None
+    #: (the protocol checker and the timeline append themselves)
+    burst_listeners: List[Callable] = field(default_factory=list)
     # Statistics.  Bus occupancy is integrated in *sub-bus* units so that
     # concurrent sub-rank transfers cannot sum past the physical pin
     # count: a full-width burst books ``subranks * tBL`` units, a
@@ -127,8 +127,8 @@ class ChannelState:
             self.subbus_last[subrank] = (rank, req_type)
             # fractional width, full duration: one sub-bus worth of pins
             self.data_busy_subbus_cycles += t.tBL
-        if self.observer is not None:
-            self.observer(now, cmd, rank, subrank, data_start, data_end)
+        for listener in self.burst_listeners:
+            listener(now, cmd, rank, subrank, data_start, data_end)
         return data_end
 
     def occupy_command_bus(self, now: int) -> None:

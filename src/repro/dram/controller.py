@@ -18,7 +18,7 @@ row-friendly (Qs) queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..kernel import Kernel
 from ..obs.stalls import (
@@ -145,24 +145,19 @@ class MemoryController:
         #: "salp2" or "masa"
         self.salp = salp
         self.channel = ChannelState(timing, self.geometry, salp=salp)
-        #: optional command observer: called as (cycle, command, request)
-        #: on every issued command (request is None for REF).  Used by
-        #: repro.sim.trace and the obs ring buffer; keep it None for
-        #: full-speed runs.
-        self.observer = None
-        #: optional repro.check.TimingProtocolChecker (or any object with
-        #: its ``on_command`` signature).  Unlike ``observer`` it also sees
-        #: refresh-path precharges, REF with the rank spelled out, and the
-        #: closed-page auto-precharge (flagged ``implicit`` because it
-        #: rides on the CAS instead of occupying the command bus).
-        self.checker = None
+        #: command listeners, each called as ``(cycle, command, request,
+        #: *, rank, bank, subarray, implicit)`` on every command the
+        #: controller issues: queued commands, the refresh path's PREs
+        #: and REF (``request`` None, ``bank`` -1 for REF), and the
+        #: closed-page auto-precharge (``implicit``: it rides on its CAS
+        #: instead of occupying the command bus, and may carry a future
+        #: cycle).  ``subarray`` is the subarray a PRE closes, else None.
+        #: The tracer, the obs stall ring, the timeline and the protocol
+        #: checker attach by appending and detach by removing themselves.
+        self.command_listeners: List[Callable] = []
         #: optional obs.metrics.Histogram observing completed-read latency
         #: in cycles (one observe per RD command when attached)
         self.latency_hist = None
-        #: optional obs.timeline.TimelineRecorder; sees the same command
-        #: stream as ``checker`` (refresh-path PREs, REF with the rank
-        #: spelled out, implicit closed-page precharges)
-        self.timeline = None
         #: optional obs.stalls.StallLedger; every scheduling wait is
         #: annotated with the timing constraint that caused it
         self.stall_ledger = None
@@ -545,10 +540,6 @@ class MemoryController:
             if bank.designated == sub.sub_id:
                 # column command to the globally connected subarray
                 cmd = Command.RD if request.is_read else Command.WR
-                if request.is_read:
-                    local, shared = sub.next_read, bank.col_next_read
-                else:
-                    local, shared = sub.next_write, bank.col_next_write
                 rank_gate = rank.earliest_cas(cmd)
                 if rank_gate == rank.busy_until:
                     rank_tag = REFRESH
@@ -559,8 +550,8 @@ class MemoryController:
                 earliest, reason = self._binding(
                     # the local gate is the last ACT + tRCD; the shared
                     # one is the column path's CAS spacing
-                    (local, TRCD),
-                    (shared, CCD_BUS),
+                    (sub.next_cas, TRCD),
+                    (bank.col_next_cas, CCD_BUS),
                     (rank_gate, rank_tag),
                 )
                 return (cmd, earliest, reason, _BUS_CAS)
@@ -635,6 +626,15 @@ class MemoryController:
 
     # ------------------------------------------------------------- issuing
 
+    def _emit(self, cycle: int, command: Command, request: Optional[Request],
+              rank: int, bank: int, subarray: Optional[int] = None,
+              implicit: bool = False) -> None:
+        """Hand one issued command to every listener (the one path every
+        command takes to its consumers)."""
+        for listener in self.command_listeners:
+            listener(cycle, command, request, rank=rank, bank=bank,
+                     subarray=subarray, implicit=implicit)
+
     def _issue(
         self, now: int, request: Request, command: Command, queue: List[Request]
     ) -> None:
@@ -642,19 +642,13 @@ class MemoryController:
         bank = request._bank
         pre_sub = None
         if command is Command.PRE:
-            # resolved before the hooks: the checker needs the PRE's
+            # resolved before the listeners: the checker needs the PRE's
             # subarray operand (a precharge names the subarray it closes)
             pre_sub = self._pre_target(request, bank)
         self.channel.occupy_command_bus(now)
-        if self.observer is not None:
-            self.observer(now, command, request)
-        if self.checker is not None:
-            self.checker.on_command(
-                now, command, request,
-                subarray=None if pre_sub is None else pre_sub.sub_id,
-            )
-        if self.timeline is not None:
-            self.timeline.on_command(now, command, request)
+        self._emit(now, command, request, request.addr.rank,
+                   request.addr.bank,
+                   None if pre_sub is None else pre_sub.sub_id)
 
         if command is Command.MRS:
             rank.issue_mode_switch(now, request.io_mode)
@@ -696,14 +690,8 @@ class MemoryController:
             # auto-precharge (RDA/WRA): the row closes once tRTP/tWR allow
             sub = request._sub
             pre_at = sub.next_pre
-            if self.checker is not None:
-                self.checker.on_command(
-                    pre_at, Command.PRE, request, implicit=True,
-                    subarray=sub.sub_id,
-                )
-            if self.timeline is not None:
-                self.timeline.on_command(pre_at, Command.PRE, request,
-                                         implicit=True)
+            self._emit(pre_at, Command.PRE, request, request.addr.rank,
+                       request.addr.bank, sub.sub_id, implicit=True)
             bank.issue_pre(pre_at, sub)
             self.stats.precharges += 1
         self._account_cas(request, command)
@@ -762,26 +750,15 @@ class MemoryController:
                 ready = sub.next_pre
                 if ready <= now:
                     self.channel.occupy_command_bus(now)
-                    if self.checker is not None:
-                        self.checker.on_command(
-                            now, Command.PRE, None,
-                            rank=rank_id, bank=bank_id, subarray=sub.sub_id,
-                        )
-                    if self.timeline is not None:
-                        self.timeline.on_command(now, Command.PRE, None,
-                                                 rank=rank_id, bank=bank_id)
+                    self._emit(now, Command.PRE, None, rank_id, bank_id,
+                               sub.sub_id)
                     bank.issue_pre(now, sub)
                     self.stats.precharges += 1
                     return now + 1
                 soonest = min(soonest, ready)
             return soonest
         self.channel.occupy_command_bus(now)
-        if self.observer is not None:
-            self.observer(now, Command.REF, None)
-        if self.checker is not None:
-            self.checker.on_command(now, Command.REF, None, rank=rank_id)
-        if self.timeline is not None:
-            self.timeline.on_command(now, Command.REF, None, rank=rank_id)
+        self._emit(now, Command.REF, None, rank_id, -1)
         rank.issue_refresh(now)
         self.stats.refreshes += 1
         self._next_refresh[rank_id] += self.timing.tREFI

@@ -13,11 +13,14 @@ Covers exactly the statement shapes the paper evaluates:
 
 Comparison literals are against the synthetic value domain
 ``[0, PREDICATE_RANGE)`` and are translated into the selectivities the
-executor works with (``f10 > 7500`` keeps 25% of records).
+executor works with (``f10 > 7500`` keeps 25% of records).  Table and
+field names are resolved against the benchmark schemas (``Ta`` f0..f127,
+``Tb`` f0..f15); an unknown one is an :class:`SQLError` at its token.
 """
 
 from __future__ import annotations
 
+import difflib
 import re
 from typing import List, Optional, Tuple
 
@@ -31,7 +34,10 @@ from .query import (
     SelectQuery,
     UpdateQuery,
 )
-from .schema import PREDICATE_RANGE
+from .schema import PREDICATE_RANGE, TA, TB
+
+#: the tables a statement may name (Table 3)
+SCHEMAS = {schema.name: schema for schema in (TA, TB)}
 
 
 class SQLError(ValueError):
@@ -98,6 +104,8 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        #: every field reference so far: (table qualifier, field, position)
+        self.fields: List[Tuple[Optional[str], int, int]] = []
 
     # ------------------------------------------------------------- plumbing
 
@@ -153,7 +161,24 @@ class _Parser:
         match = re.fullmatch(r"f(\d+)", value)
         if match is None:
             raise SQLError(f"fields are named f<N>, got {value!r}", pos=at)
-        return table, int(match.group(1))
+        index = int(match.group(1))
+        self.fields.append((table, index, at))
+        return table, index
+
+    def table(self) -> str:
+        """A table name, resolved against :data:`SCHEMAS`."""
+        kind, value, at = self.next()
+        if kind != "name":
+            raise SQLError(f"expected a table name, got {value!r}", pos=at)
+        return _resolve("table", value, list(SCHEMAS), at)
+
+    def resolve_fields(self, table: Optional[str]) -> None:
+        """Check every field reference against its table's schema: the
+        qualifier's (``Ta.f3``), else the statement's ``table``."""
+        for qualifier, index, at in self.fields:
+            name = _resolve("table", qualifier or table, list(SCHEMAS), at)
+            known = [f"f{i}" for i in range(SCHEMAS[name].n_fields)]
+            _resolve(f"field of {name}", f"f{index}", known, at)
 
     def number(self, what: str) -> int:
         """An integer literal (with a positioned error otherwise)."""
@@ -186,6 +211,17 @@ class _Parser:
         return Predicate(tuple(conjuncts))
 
 
+def _resolve(what: str, name: str, known: List[str], at: int) -> str:
+    """``name`` if it is ``known``, else an :class:`SQLError` at ``at``
+    naming the close matches (or, failing those, every known name)."""
+    if name not in known:
+        close = difflib.get_close_matches(name, known)
+        hint = (f"did you mean {' or '.join(close)}?" if close
+                else f"known: {' '.join(known)}")
+        raise SQLError(f"unknown {what} {name!r} ({hint})", pos=at)
+    return name
+
+
 def parse(statement: str, name: str = "adhoc") -> Query:
     """Parse one SQL statement into a query plan."""
     p = _Parser(statement)
@@ -213,12 +249,9 @@ def _parse_select(p: _Parser, name: str) -> Query:
         while p.accept_punct(","):
             fields.append(p.field())
     p.expect_keyword("from")
-    kind, table, at = p.next()
-    if kind != "name":
-        raise SQLError(f"expected a table name, got {table!r}", pos=at)
+    table = p.table()
     if p.accept_punct(","):
-        kind, table_b, _at = p.next()
-        return _parse_join(p, name, table, table_b, fields)
+        return _parse_join(p, name, table, p.table(), fields)
     predicate = p.where_clause()
     limit = None
     if p.accept_keyword("limit"):
@@ -228,6 +261,7 @@ def _parse_select(p: _Parser, name: str) -> Query:
             f"trailing tokens: {[t[:2] for t in p.tokens[p.pos:]]}",
             pos=p.peek_pos(),
         )
+    p.resolve_fields(table)
     projected = None if star else tuple(f for _t, f in fields)
     prefers = "row" if star and predicate is None else (
         "row" if star and limit is not None else "column"
@@ -253,13 +287,14 @@ def _parse_aggregate(p: _Parser, name: str, func: str) -> AggregateQuery:
             raise SQLError("mixed aggregate functions are not supported",
                            pos=nxt[2])
     p.expect_keyword("from")
-    _, table, _at = p.next()
+    table = p.table()
     predicate = p.where_clause()
+    p.resolve_fields(table)
     return AggregateQuery(name, table, func, tuple(fields), predicate)
 
 
 def _parse_update(p: _Parser, name: str) -> UpdateQuery:
-    kind, table, _at = p.next()
+    table = p.table()
     p.expect_keyword("set")
     assignments = []
     while True:
@@ -274,12 +309,13 @@ def _parse_update(p: _Parser, name: str) -> UpdateQuery:
     predicate = p.where_clause()
     if predicate is None:
         raise SQLError("UPDATE requires a WHERE clause", pos=p.peek_pos())
+    p.resolve_fields(table)
     return UpdateQuery(name, table, tuple(assignments), predicate)
 
 
 def _parse_insert(p: _Parser, name: str) -> InsertQuery:
     p.expect_keyword("into")
-    _, table, _at = p.next()
+    table = p.table()
     p.expect_keyword("values")
     n = 0
     token = p.peek()
@@ -331,6 +367,7 @@ def _parse_join(p: _Parser, name: str, table_a: str, table_b: str,
     by_table = {t: f for t, f in fields}
     if set(by_table) != {table_a, table_b}:
         raise SQLError("project one field from each joined table")
+    p.resolve_fields(None)
     # the narrow table is hashed (build side)
     return JoinQuery(
         name,

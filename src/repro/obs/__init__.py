@@ -99,7 +99,7 @@ class Observation:
         self.keep_trace_events = keep_trace_events
         self.tracer = None  # set by the runner when trace=True
         #: request a TimelineRecorder (the runner attaches it); off by
-        #: default so the controller's guarded hooks stay no-ops
+        #: default, so full-speed runs record no timeline
         self.timeline = timeline
         self.timeline_recorder = None  # set by the runner when timeline=True
         #: always-on cycle accounting: controller waits + per-core
@@ -113,22 +113,13 @@ class Observation:
         #: manifest path once artifacts were written
         self.manifest_path: Optional[Path] = None
 
-    # The hot-path command observer: one tuple append per issued DRAM
+    # The hot-path command listener: one tuple append per issued DRAM
     # command (commands are orders of magnitude rarer than kernel events).
-    def observe_command(self, cycle, command, request) -> None:
-        if request is not None:
-            self.ring.append((
-                cycle, command.value, request.addr.rank,
-                request.addr.bank, request.addr.row,
-            ))
-        else:
-            self.ring.append((cycle, command.value, -1, -1, -1))
+    def observe_command(self, cycle, command, request, *, rank, bank,
+                        subarray, implicit) -> None:
+        row = -1 if request is None else request.addr.row
+        self.ring.append((cycle, command.value, rank, bank, row))
 
     def recent_events(self, n: int = RECENT_EVENTS) -> List[Tuple]:
-        """Last-``n`` commands, preferring the full tracer when attached."""
-        if self.tracer is not None and self.tracer.events:
-            return [
-                (e.cycle, e.command, e.rank, e.bank, e.row)
-                for e in self.tracer.events[-n:]
-            ]
+        """The last ``n`` issued commands (at most the ring's size)."""
         return list(self.ring)[-n:]

@@ -80,8 +80,8 @@ class StallReport:
             for b in open_banks:
                 lines.append(
                     "  rank{rank}/bank{bank}: row {open_row} "
-                    "(next act/rd/wr/pre = {next_act}/{next_read}/"
-                    "{next_write}/{next_pre})".format(**b)
+                    "(next act/cas/pre = {next_act}/{next_cas}/"
+                    "{next_pre})".format(**b)
                 )
         else:
             lines.append("open banks: none (all precharged)")
@@ -128,8 +128,7 @@ def _bank_snapshot(rank_id: int, bank_id: int, bank) -> Dict[str, object]:
             else f"{open_row[0].value}:{open_row[1]}"
         ),
         "next_act": bank.next_act,
-        "next_read": bank.next_read,
-        "next_write": bank.next_write,
+        "next_cas": bank.next_cas,
         "next_pre": bank.next_pre,
         "activations": bank.activations,
         "row_hits": bank.row_hits,

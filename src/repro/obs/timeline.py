@@ -7,8 +7,7 @@ Perfetto / ``chrome://tracing``:
 * every issued command as a timestamped instant event on its bank lane
   (rank / bank / sub-rank spelled out),
 * bank **row-open lifetimes** as spans (ACT -> PRE, including the
-  refresh-path and closed-page implicit precharges the plain command
-  observer never sees),
+  refresh-path and closed-page implicit precharges),
 * **data-bus occupancy** spans per pin group (full-width vs sub-rank
   lanes),
 * **refresh blackouts** (REF -> +tRFC) and **mode-switch windows**
@@ -17,12 +16,13 @@ Perfetto / ``chrome://tracing``:
 * per-core busy / stall spans contributed by the runner from the
   :mod:`repro.obs.stalls` logs.
 
-Recording is strictly opt-in: the controller's ``timeline`` hook is
-``None`` by default and every call site is guarded, so full-speed runs
-pay nothing.  Exports: :meth:`to_chrome_trace` (the Chrome trace-event
-JSON Perfetto loads), :meth:`export_jsonl` (one event object per line,
-next to the :class:`~repro.sim.trace.CommandTracer` output) and
-:meth:`report` (terminal per-bank utilization / row-hit-rate tables).
+Recording is strictly opt-in: the recorder joins the controller's
+command listeners and the channel's burst listeners only when attached,
+so full-speed runs pay nothing.  Exports: :meth:`to_chrome_trace` (the
+Chrome trace-event JSON Perfetto loads), :meth:`export_jsonl` (one event
+object per line, next to the :class:`~repro.sim.trace.CommandTracer`
+output) and :meth:`report` (terminal per-bank utilization / row-hit-rate
+tables).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ _PID_RANKS = 4
 
 
 class TimelineRecorder:
-    """Records one run's command-level timeline (opt-in, guarded hooks)."""
+    """Records one run's command-level timeline (opt-in listeners)."""
 
     def __init__(self, controller) -> None:
         self.controller = controller
@@ -64,42 +64,28 @@ class TimelineRecorder:
         self.core_spans: List[Tuple[int, int, int, str]] = []
         self.end_cycle: int = 0
         self._last_depths: Tuple[int, int] = (-1, -1)
-        self._chained_channel_observer = None
 
     # ----------------------------------------------------------- attaching
 
     def attach(self) -> "TimelineRecorder":
-        """Install on the controller and chain the channel observer."""
-        self.controller.timeline = self
-        channel = self.controller.channel
-        self._chained_channel_observer = channel.observer
-        channel.observer = self._observe_burst
+        """Join the controller's command listeners and its channel's
+        burst listeners."""
+        self.controller.command_listeners.append(self.on_command)
+        self.controller.channel.burst_listeners.append(self._observe_burst)
         return self
 
     def detach(self) -> None:
-        if self.controller.timeline is self:
-            self.controller.timeline = None
-        channel = self.controller.channel
-        if channel.observer == self._observe_burst:
-            channel.observer = self._chained_channel_observer
+        self.controller.command_listeners.remove(self.on_command)
+        self.controller.channel.burst_listeners.remove(self._observe_burst)
 
     # ------------------------------------------------------------ recording
 
-    def on_command(self, cycle, command, request, implicit: bool = False,
-                   rank: Optional[int] = None,
-                   bank: Optional[int] = None) -> None:
-        """Controller hook; mirrors the protocol checker's signature so
-        refresh-path precharges and implicit (auto-)precharges are seen."""
-        if request is not None:
-            rank = request.addr.rank
-            bank = request.addr.bank
-            row = request.addr.row
-            subrank = request.subrank
-        else:
-            rank = -1 if rank is None else rank
-            bank = -1 if bank is None else bank
-            row = -1
-            subrank = None
+    def on_command(self, cycle, command, request, *, rank: int, bank: int,
+                   subarray: Optional[int], implicit: bool) -> None:
+        """Controller command listener (every issued command, refresh-path
+        and implicit closed-page precharges included)."""
+        row = -1 if request is None else request.addr.row
+        subrank = None if request is None else request.subrank
         name = command.value
         self.events.append((cycle, name, rank, bank, row, subrank))
         if cycle > self.end_cycle:
@@ -133,10 +119,6 @@ class TimelineRecorder:
 
     def _observe_burst(self, now, cmd, rank, subrank, data_start,
                        data_end) -> None:
-        if self._chained_channel_observer is not None:
-            self._chained_channel_observer(
-                now, cmd, rank, subrank, data_start, data_end
-            )
         lane = "bus" if subrank is None else f"bus/sub{subrank}"
         self.bus_spans.append((lane, data_start, data_end, cmd.value, rank))
         if data_end > self.end_cycle:

@@ -99,7 +99,7 @@ def _attach_observers(
 ) -> None:
     """Wire the observation into the controller's hot path."""
     controller = system.controller
-    controller.observer = obs.observe_command
+    controller.command_listeners.append(obs.observe_command)
     controller.latency_hist = obs.registry.histogram(
         "dram.read_latency_cycles", _LATENCY_BUCKETS
     )
@@ -110,7 +110,6 @@ def _attach_observers(
     if obs.trace:
         from .trace import CommandTracer
 
-        # chains obs.observe_command, so the stall ring stays fed
         obs.tracer = CommandTracer(
             controller, keep_events=obs.keep_trace_events
         )

@@ -1,8 +1,9 @@
 """Command-level tracing and bandwidth analysis.
 
-Attach a :class:`CommandTracer` to a controller (it installs itself as the
-controller's observer) to record every issued command.  The tracer offers
-the analyses a memory-system study needs when a number looks off:
+Attach a :class:`CommandTracer` to a controller (it appends itself to the
+controller's command listeners) to record every issued command.  The
+tracer offers the analyses a memory-system study needs when a number
+looks off:
 
 * data-bus utilization over time (who is bus-bound),
 * per-bank command histograms (who is bank-conflict-bound),
@@ -10,8 +11,10 @@ the analyses a memory-system study needs when a number looks off:
 * an exportable event list for offline inspection, including JSONL
   export into an artifacts directory (one event object per line).
 
-Attaching chains any previously installed observer (e.g. the obs layer's
-stall ring), so tracing composes with default-on observability.
+``command_counts`` counts every command, refresh-path and closed-page
+auto-precharges included, so it equals the controller's ``CommandStats``;
+the event list, the per-bank histogram and the CAS gaps cover the
+commands issued for queued requests.
 """
 
 from __future__ import annotations
@@ -54,39 +57,31 @@ class CommandTracer:
         self.bank_commands: Counter = Counter()
         self._last_cas_cycle: Optional[int] = None
         self.cas_gaps: Counter = Counter()
-        self._chained = controller.observer
-        controller.observer = self._observe
+        controller.command_listeners.append(self._observe)
 
     def detach(self) -> None:
-        self.controller.observer = self._chained
-        self._chained = None
+        self.controller.command_listeners.remove(self._observe)
 
     # ------------------------------------------------------------ recording
 
     def _observe(self, cycle: int, command: Command,
-                 request: Optional[Request]) -> None:
-        if self._chained is not None:
-            self._chained(cycle, command, request)
+                 request: Optional[Request], *, rank: int, bank: int,
+                 subarray: Optional[int], implicit: bool) -> None:
         name = command.value
         self.command_counts[name] += 1
-        if request is not None:
-            self.bank_commands[(request.addr.rank, request.addr.bank)] += 1
-            if self.keep_events:
-                self.events.append(
-                    TraceEvent(
-                        cycle,
-                        name,
-                        request.addr.rank,
-                        request.addr.bank,
-                        request.addr.row,
-                        request.gather,
-                    )
-                )
-            if command in (Command.RD, Command.WR):
-                if self._last_cas_cycle is not None:
-                    gap = cycle - self._last_cas_cycle
-                    self.cas_gaps[min(gap, 32)] += 1
-                self._last_cas_cycle = cycle
+        if request is None or implicit:
+            return
+        self.bank_commands[(rank, bank)] += 1
+        if self.keep_events:
+            self.events.append(
+                TraceEvent(cycle, name, rank, bank, request.addr.row,
+                           request.gather)
+            )
+        if command in (Command.RD, Command.WR):
+            if self._last_cas_cycle is not None:
+                gap = cycle - self._last_cas_cycle
+                self.cas_gaps[min(gap, 32)] += 1
+            self._last_cas_cycle = cycle
 
     # ------------------------------------------------------------- analyses
 

@@ -68,6 +68,18 @@ def _parser_surface(parser, prefix=""):
     return out
 
 
+#: reproducer files that exist but cannot be replayed, written into the
+#: working directory of every usage-error case
+REPLAY_FILES = {
+    "malformed.json": "{not json",
+    "not-a-reproducer.json": '{"seed": 0}',
+    "unknown-scheme.json": json.dumps({
+        "seed": 0, "index": 0, "scheme": "SAM_en", "gather_factor": 4,
+        "record_bytes": 64, "n_records": 8, "refresh": False, "ops": [],
+    }),
+}
+
+
 def _usage_cases():
     """(command, argv) for every sweep command x every bad-input class
     among the flags it takes (every sweep takes --jobs)."""
@@ -98,6 +110,8 @@ def _usage_cases():
             [sql, "--ta", "0"],
             [sql, "--tb", "-1"],
             ["SELEC f3 FROM Ta"],
+            ["SELECT f999 FROM Ta"],
+            ["SELECT f3 FROM Tz"],
             [sql, "--gather", "3"],
             [sql, "--scheme", "baseline", "--gather", "4"],
         )]
@@ -107,6 +121,9 @@ def _usage_cases():
         ["--inject", "tRCD=x"],
         ["--inject", "bogus=1"],
         ["--inject", "tRCD"],
+    )]
+    out += [("check replay", [path]) for path in (
+        "/nonexistent.json", *REPLAY_FILES,
     )]
     return out
 
@@ -141,9 +158,13 @@ class TestUsageErrors:
         "command,argv", USAGE_CASES,
         ids=[f"{c}:{' '.join(a)}" for c, a in USAGE_CASES],
     )
-    def test_bad_input_exits_2(self, capsys, command, argv):
+    def test_bad_input_exits_2(self, capsys, tmp_path, monkeypatch,
+                               command, argv):
         """Bad input is one stderr line and exit 2 -- no table, no
         traceback, no simulation."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in REPLAY_FILES.items():
+            (tmp_path / name).write_text(text)
         engine = ["--no-cache"] if command in SWEEP_NAMES else []
         code = main([*command.split(), *engine, *argv])
         captured = capsys.readouterr()

@@ -302,8 +302,8 @@ class TestRunArtifacts:
 
     def test_tracer_chains_ring(self, run):
         obs, _result = run
-        # the full tracer was attached on top of the stall ring; both see
-        # the same command stream
+        # the full tracer and the stall ring are both command listeners
+        # and see the same command stream
         assert obs.tracer is not None
         assert len(obs.ring) > 0
         assert obs.recent_events(5)[-1][0] == obs.tracer.events[-1].cycle

@@ -171,6 +171,29 @@ class TestErrorPositions:
         err = self._error(statement)
         assert err.pos == statement.index("'x'")
 
+    @pytest.mark.parametrize("statement,offender", (
+        ("SELECT f999 FROM Ta", "f999"),
+        ("SELECT f3 FROM Ta WHERE f130 > 5", "f130"),
+        ("SELECT SUM(f16) FROM Tb", "f16"),
+        ("UPDATE Tb SET f20 = 1 WHERE f10 = 3", "f20"),
+        ("SELECT Ta.f3, Tb.f40 FROM Ta, Tb WHERE Ta.f9 = Tb.f9", "Tb.f40"),
+    ))
+    def test_unknown_field_position(self, statement, offender):
+        err = self._error(statement)
+        assert "unknown field" in str(err) and "did you mean" in str(err)
+        assert err.pos == statement.index(offender)
+
+    @pytest.mark.parametrize("statement,offender", (
+        ("SELECT f3 FROM Tz", "Tz"),
+        ("SELECT SUM(f9) FROM Tc WHERE f10 > 1", "Tc"),
+        ("INSERT INTO Tx VALUES 4", "Tx"),
+        ("SELECT Ta.f3, Tq.f4 FROM Ta, Tq WHERE Ta.f9 = Tq.f9", "Tq WHERE"),
+    ))
+    def test_unknown_table_position(self, statement, offender):
+        err = self._error(statement)
+        assert "unknown table" in str(err) and "known: Ta Tb" in str(err)
+        assert err.pos == statement.index(offender)
+
 
 class TestExplainRoundTrip:
     """parse -> plan -> EXPLAIN works for every statement family."""

@@ -72,7 +72,7 @@ def test_none_mode_one_subarray_field_api():
     bank.issue_act(100, ROW0)
     assert bank.open_row == ROW0
     assert bank.is_open(ROW0)
-    assert bank.next_read == sub.next_read == 100 + T.tRCD
+    assert bank.next_cas == sub.next_cas == 100 + T.tRCD
     assert bank.next_pre == 100 + T.tRAS
     assert bank.next_act == FOREVER
     assert bank.last_act == 100
@@ -90,7 +90,7 @@ def test_subarray_state_gates_match_one_subarray_bank():
     assert bank.earliest(Command.PRE) == 50 + T.tRAS
     bank.issue_read(60, extra_internal=2)
     tail = 2 * T.tCCD_L
-    assert bank.next_read == 60 + T.tCCD_L + tail
+    assert bank.next_cas == 60 + T.tCCD_L + tail
     assert bank.next_pre == max(50 + T.tRAS, 60 + T.tRTP + tail)
     bank.issue_write(80)
     assert bank.next_pre >= 80 + T.CWL + T.tBL + T.tWR
@@ -146,8 +146,7 @@ def test_sa_sel_redesignates_and_paces_column_path():
     bank.issue_sa_sel(30, bank.sub(0))
     assert bank.designated == 0
     assert bank.next_sa_sel == 30 + T.tSA_SEL
-    assert bank.col_next_read >= 30 + T.tSA_SEL
-    assert bank.col_next_write >= 30 + T.tSA_SEL
+    assert bank.col_next_cas >= 30 + T.tSA_SEL
     assert bank.sa_sels == 1
 
 
@@ -157,7 +156,7 @@ def test_cas_splits_shared_and_local_gates():
     bank.issue_act(10, ROW1)
     bank.issue_read(40, sub=bank.sub(1))
     # CAS spacing binds the shared column path ...
-    assert bank.col_next_read == 40 + T.tCCD_L
+    assert bank.col_next_cas == 40 + T.tCCD_L
     # ... read-to-precharge recovery binds only the accessed subarray
     assert bank.sub(1).next_pre >= 40 + T.tRTP
     assert bank.sub(0).next_pre == 0 + T.tRAS
@@ -265,15 +264,14 @@ def _visible_state(bank: BankState) -> tuple:
     """Everything the scheduler may read when pricing a request."""
     return (
         tuple(sorted(
-            (i, s.open_row, s.next_act, s.next_read, s.next_write,
+            (i, s.open_row, s.next_act, s.next_cas,
              s.next_pre, s.last_act)
             for i, s in bank.subarrays.items()
         )),
         bank.designated,
         bank.next_any_act,
         bank.next_sa_sel,
-        bank.col_next_read,
-        bank.col_next_write,
+        bank.col_next_cas,
         tuple(bank.open_subs.items()),
         bank.act_floor,
     )

@@ -64,7 +64,7 @@ class TestTracer:
         mc = MemoryController(kernel, DDR4_2400)
         tracer = CommandTracer(mc)
         tracer.detach()
-        assert mc.observer is None
+        assert mc.command_listeners == []
 
     def test_events_optional(self):
         kernel = Kernel()

@@ -210,8 +210,9 @@ def _command_stream(case, reference=False):
     """One fuzz case replayed under the fast scheduler or the reference.
 
     Returns ``(command_log, final_cycle, ledger_entries)`` so the
-    equivalence tests can diff the full observable behavior: the issued
-    command stream, the cycle the trace drained at, and the controller's
+    equivalence tests can diff the full observable behavior: every issued
+    command with its operands (refresh-path and implicit precharges
+    included), the cycle the trace drained at, and the controller's
     stall attribution."""
     from repro.obs.stalls import StallLedger
 
@@ -219,10 +220,11 @@ def _command_stream(case, reference=False):
     dram_commands._request_ids = itertools.count()
     log = []
 
-    def observe(now, command, request):
+    def observe(now, command, request, *, rank, bank, subarray, implicit):
         log.append((
             now, command.value,
             None if request is None else request.req_id,
+            rank, bank, subarray, implicit,
         ))
 
     ledger = StallLedger()
